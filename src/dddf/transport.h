@@ -5,11 +5,13 @@
 // rank from which all handlers and posted closures run, so Space's
 // home-side state needs no locks.
 //
-// Backends:
+// Backends (exactly two):
 //   * MpiTransport (mpi_transport.h) — rides the HCMPI communication worker
-//     and the smpi substrate; the configuration the paper evaluates.
+//     and the smpi substrate; the configuration the paper evaluates. Runs
+//     unchanged on the thread wire and the socket wire (DESIGN.md §9).
 //   * AmTransport (am_transport.h)   — a GASNet-flavored active-message bus
-//     with its own progress thread per rank; no MPI anywhere.
+//     with its own progress thread per rank; no MPI anywhere, in-process
+//     only (DESIGN.md §10).
 #pragma once
 
 #include <atomic>

@@ -34,7 +34,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -75,8 +74,8 @@ class Fabric {
     kClosed,      // this fabric is shut down
   };
 
-  // Reliable non-barrier frames, in per-connection order, from the IO
-  // thread. Must not call back into this Fabric except via post/try_send.
+  // Reliable (kSmpi) frames, in per-connection order, from the IO thread.
+  // Must not call back into this Fabric except via try_send.
   using DeliverFn = std::function<void(Frame&&)>;
 
   Fabric(const FabricOptions& opts, DeliverFn deliver);
@@ -98,17 +97,6 @@ class Fabric {
 
   bool peer_dead(int p) const;
   std::vector<int> dead_peers() const;
-
-  // Runs fn on the IO thread, serialized with frame delivery.
-  void post(std::function<void()> fn);
-
-  // Fabric-wide barrier: broadcasts an arrival for `epoch`, waits until
-  // every live peer's arrival was released in order. Returns true on
-  // success; false fills *missing with the procs that never arrived (dead
-  // peers fail fast instead of burning the whole deadline).
-  // timeout_ms == 0 waits forever.
-  bool barrier(std::uint16_t epoch, std::uint64_t timeout_ms,
-               std::vector<int>* missing);
 
   // Graceful teardown: flush (all queued frames acked), then exchange
   // goodbyes, then stop the IO thread — each phase bounded by
@@ -209,8 +197,6 @@ class Fabric {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<std::unique_ptr<Peer>> peers_;  // peers_[proc_] stays null
-  std::deque<std::function<void()>> posted_;
-  std::map<std::uint16_t, std::set<int>> barrier_arrivals_;
   bool stop_ = false;
   bool closed_ = false;         // no new sends accepted
   bool goodbye_phase_ = false;

@@ -4,21 +4,6 @@
 
 namespace net {
 
-const char* frame_kind_name(FrameKind k) {
-  switch (k) {
-    case FrameKind::kNone: return "none";
-    case FrameKind::kHello: return "hello";
-    case FrameKind::kAck: return "ack";
-    case FrameKind::kHeartbeat: return "heartbeat";
-    case FrameKind::kGoodbye: return "goodbye";
-    case FrameKind::kBarrier: return "barrier";
-    case FrameKind::kSmpi: return "smpi";
-    case FrameKind::kAmRegister: return "am_register";
-    case FrameKind::kAmData: return "am_data";
-  }
-  return "?";
-}
-
 void put_u32(Bytes& out, std::uint32_t v) {
   out.push_back(std::uint8_t(v));
   out.push_back(std::uint8_t(v >> 8));

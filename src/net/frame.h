@@ -3,17 +3,18 @@
 // from (DESIGN.md §9).
 //
 // A connection is a duplex byte stream between two processes carrying
-// length-prefixed frames. Reliable frame kinds (kSmpi / kAmRegister /
-// kAmData / kBarrier) get a per-connection sequence number assigned by the
-// sender; the receiver acks each one (kAck echoes the seq), releases them in
-// order through a Reorderer, and the sender retransmits anything unacked
-// past its RTO. Everything else (hello/heartbeat/goodbye/ack itself) is
-// fire-and-forget control traffic with seq 0.
+// length-prefixed frames. The one reliable frame kind, kSmpi, gets a
+// per-connection sequence number assigned by the sender; the receiver acks
+// each one (kAck echoes the seq), releases them in order through a
+// Reorderer, and the sender retransmits anything unacked past its RTO.
+// Hello/heartbeat/goodbye/ack are fire-and-forget control traffic with
+// seq 0. Any other kind is untrusted noise: it is sequenced and acked like
+// a reliable frame, so the stream stays gapless, then discarded at release.
 //
 // Exactly-once is split across two layers on purpose:
 //   * the connection gives at-least-once, in-order *release* (Reorderer),
-//   * the consumer (smpi Endpoint, NetAmTransport) dedups on an end-to-end
-//     identity (SeqTracker over a per-channel counter), because duplicates
+//   * the consumer, the smpi Endpoint, dedups on an end-to-end identity
+//     (SeqTracker over a per-(src,dst) rank counter), because duplicates
 //     below the reorder horizon are passed UP, not swallowed here. A
 //     retransmit that raced its ack must be visible to the consumer's
 //     dedup filter or that machinery would be dead code on a real wire.
@@ -35,20 +36,12 @@ enum class FrameKind : std::uint8_t {
   kAck = 2,        // seq = the acknowledged sequence number
   kHeartbeat = 3,  // liveness; silence past the death timeout = peer dead
   kGoodbye = 4,    // clean teardown; flags bit0 = "my ranks failed"
-  kBarrier = 5,    // fabric-level barrier arrival; a = epoch
   kSmpi = 6,       // smpi envelope (world-rank subheader + payload)
-  kAmRegister = 7, // DDDF REGISTER active message
-  kAmData = 8,     // DDDF DATA active message
 };
 
-const char* frame_kind_name(FrameKind k);
-
-// Reliable kinds are sequenced, acked and retransmitted; control kinds are
-// not (a lost heartbeat is replaced by the next one).
-inline bool reliable(FrameKind k) {
-  return k == FrameKind::kSmpi || k == FrameKind::kAmRegister ||
-         k == FrameKind::kAmData || k == FrameKind::kBarrier;
-}
+// Reliable kinds are sequenced, acked, retransmitted and delivered; control
+// kinds are not (a lost heartbeat is replaced by the next one).
+inline bool reliable(FrameKind k) { return k == FrameKind::kSmpi; }
 
 // Goodbye flag: the sending process's ranks terminated with an error. World
 // teardown uses it to propagate failure across the job (a remote rank death

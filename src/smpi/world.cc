@@ -4,7 +4,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -75,14 +74,6 @@ struct World::Net {
   std::atomic<bool> shut{false};
   bool remote_error = false;
 
-  std::mutex handler_mu;
-  std::function<void(net::Frame&&)> am_handler;
-  // AM frames that arrived before any handler was installed. The fabric
-  // acked them on release, so dropping here would lose them forever — a
-  // remote rank's register can outrun this process constructing its
-  // transport. Drained, in arrival order, when a handler is installed.
-  std::deque<net::Frame> am_pending;
-
   Net(World& w, int n) : nranks(n) {
     const net::ProcEnv& env = net::proc_env();
     const int job = g_job.fetch_add(1, std::memory_order_relaxed);
@@ -146,42 +137,13 @@ Comm World::comm(int rank) { return Comm(*this, rank, /*context=*/0); }
 
 int World::local_lo() const { return net_ ? net_->local_lo : 0; }
 int World::local_hi() const { return net_ ? net_->local_hi : size(); }
-bool World::multiproc() const { return net_ && net_->launched; }
 
 net::Fabric* World::net_fabric(int src_rank) {
   return net_ ? &net_->fabric_for(src_rank) : nullptr;
 }
 
-int World::net_proc_of(int rank) const {
-  return net_ ? net_->proc_of(rank) : 0;
-}
-
-void World::set_net_handler(std::function<void(net::Frame&&)> h) {
-  if (!net_) return;
-  std::lock_guard<std::mutex> lk(net_->handler_mu);
-  net_->am_handler = std::move(h);
-  if (net_->am_handler) {
-    while (!net_->am_pending.empty()) {
-      net::Frame f = std::move(net_->am_pending.front());
-      net_->am_pending.pop_front();
-      net_->am_handler(std::move(f));
-    }
-  }
-}
-
 void World::net_ingest(net::Frame&& f) {
-  if (f.kind != net::FrameKind::kSmpi) {
-    // The handler runs (or the frame is parked) under handler_mu so an
-    // install's pending drain cannot interleave with a fresh arrival and
-    // reorder a connection's stream.
-    std::lock_guard<std::mutex> lk(net_->handler_mu);
-    if (net_->am_handler) {
-      net_->am_handler(std::move(f));
-    } else {
-      net_->am_pending.push_back(std::move(f));
-    }
-    return;
-  }
+  // The fabric delivers kSmpi frames only (net::reliable).
   net::ByteReader rd(f.payload);
   std::int32_t src_w, dst_w, source, tag;
   std::uint32_t context;

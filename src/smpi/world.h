@@ -58,8 +58,6 @@ class World {
   bool is_local(int rank) const {
     return rank >= local_lo() && rank < local_hi();
   }
-  // True when the job spans more than one OS process.
-  bool multiproc() const;
 
   // Wire-level delivery from world rank src to world rank dst. Local
   // destinations take the direct endpoint path (through the hc-fault
@@ -109,15 +107,9 @@ class World {
   // ranks failed. Idempotent; the destructor calls it as a backstop.
   bool net_shutdown(bool local_error);
 
-  // The fabric a locally hosted rank sends through, and the process id a
-  // world rank lives on. Null / identity in thread mode. Used by the AM
-  // transport (dddf) to ride the same mesh as smpi traffic.
+  // The fabric a locally hosted rank sends through; null in thread mode.
+  // Fault tests kill it to make that rank's process go dark.
   net::Fabric* net_fabric(int src_rank);
-  int net_proc_of(int rank) const;
-
-  // Handler for non-kSmpi reliable frames (the DDDF active messages).
-  // Called on fabric IO threads, in per-connection release order.
-  void set_net_handler(std::function<void(net::Frame&&)> h);
 
   // Spawns one thread per locally hosted rank running body(comm), joins
   // them, tears down the fabric, and rethrows the first local exception —

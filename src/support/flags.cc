@@ -1,13 +1,13 @@
 #include "support/flags.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 namespace support {
 
-Flags::Flags(int argc, char** argv, bool strict) {
-  (void)strict;
+Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--", 2) != 0) {
@@ -22,6 +22,18 @@ Flags::Flags(int argc, char** argv, bool strict) {
       values_[body] = argv[++i];
     } else {
       values_[body] = "true";  // bare boolean flag
+    }
+  }
+}
+
+Flags::Flags(int argc, char** argv,
+             std::initializer_list<std::string_view> known, const char* usage)
+    : Flags(argc, argv) {
+  for (const auto& kv : values_) {
+    if (std::find(known.begin(), known.end(), kv.first) == known.end()) {
+      std::fprintf(stderr, "flags: unknown flag --%s\n%s", kv.first.c_str(),
+                   usage);
+      std::exit(2);
     }
   }
 }

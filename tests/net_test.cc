@@ -1,6 +1,6 @@
 // hc-net tests: wire framing, receiver-side sequencing, the Fabric's
 // connection supervision / reliability machinery over real loopback
-// sockets, and the socket-backed World + NetAmTransport integration.
+// sockets, and the socket-backed World: smpi and DDDF over loopback sockets.
 //
 // Everything here runs multiple Fabrics inside ONE process (the socket
 // loopback configuration) so the full reliability layer — framing, acks,
@@ -21,14 +21,17 @@
 #include <thread>
 #include <vector>
 
-#include "dddf/net_transport.h"
-#include "dddf/transport.h"
+#include "core/api.h"
+#include "dddf/mpi_transport.h"
+#include "dddf/space.h"
 #include "fault/fault.h"
+#include "hcmpi/context.h"
 #include "net/boot.h"
 #include "net/fabric.h"
 #include "net/frame.h"
 #include "smpi/comm.h"
 #include "smpi/world.h"
+#include "support/metrics.h"
 
 namespace {
 
@@ -53,7 +56,7 @@ bool spin_until(Pred pred, int ms = 20000) {
 
 Frame sample_frame() {
   Frame f;
-  f.kind = FrameKind::kAmData;
+  f.kind = FrameKind::kSmpi;
   f.flags = net::kFlagError;
   f.a = 0x1234;
   f.src = 3;
@@ -72,7 +75,7 @@ TEST(NetFrame, HeaderRoundtrip) {
   r.feed(wire.data(), wire.size());
   Frame out;
   ASSERT_TRUE(r.next(&out));
-  EXPECT_EQ(out.kind, FrameKind::kAmData);
+  EXPECT_EQ(out.kind, FrameKind::kSmpi);
   EXPECT_EQ(out.flags, net::kFlagError);
   EXPECT_EQ(out.a, 0x1234);
   EXPECT_EQ(out.src, 3u);
@@ -317,7 +320,7 @@ struct Mesh {
 
 Frame data_frame(std::uint32_t tag, std::size_t pad = 0) {
   Frame f;
-  f.kind = FrameKind::kAmData;
+  f.kind = FrameKind::kSmpi;
   net::put_u32(f.payload, tag);
   f.payload.resize(f.payload.size() + pad);
   return f;
@@ -476,34 +479,34 @@ TEST(NetFabric, BackpressureReportsWouldBlock) {
   ASSERT_TRUE(m.wait_fresh(1, std::size_t(accepted) + 1));
 }
 
-TEST(NetFabric, BarrierReleasesAllProcs) {
-  Mesh m(3);
-  std::atomic<int> done{0};
-  {
-    std::vector<std::jthread> js;
-    for (int p = 0; p < 3; ++p) {
-      js.emplace_back([&m, &done, p] {
-        std::vector<int> missing;
-        EXPECT_TRUE(m.fabrics[std::size_t(p)]->barrier(1, 5000, &missing));
-        done.fetch_add(1);
-      });
+TEST(NetFabric, UnknownKindIsAckedAndDropped) {
+  // Wire input is untrusted: frames of kinds no consumer reads (kNone, a
+  // retired kind number, garbage) take their place in the connection's
+  // sequence and are acked, but never reach the deliver callback — the
+  // smpi frames behind them still arrive, in order.
+  Mesh m(2);
+  for (int kind : {0, 5, 200}) {
+    Frame junk = data_frame(std::uint32_t(kind));
+    junk.kind = FrameKind(kind);
+    ASSERT_EQ(m.fabrics[0]->send(1, junk), net::Fabric::SendResult::kOk);
+  }
+  for (std::uint32_t tag : {10u, 11u}) {
+    Frame f = data_frame(tag);
+    ASSERT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
+  }
+  ASSERT_TRUE(spin_until([&m] {
+    for (const Frame& f : m.fresh(1)) {
+      if (tag_of(f) == 11) return true;
     }
+    return false;
+  }));
+  std::vector<Frame> got = m.fresh(1);
+  ASSERT_EQ(got.size(), 2u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, FrameKind::kSmpi);
+    EXPECT_EQ(got[i].seq, 3 + i);
+    EXPECT_EQ(tag_of(got[i]), 10 + i);
   }
-  EXPECT_EQ(done.load(), 3);
-}
-
-TEST(NetFabric, BarrierNamesKilledProcAsMissing) {
-  Mesh m(3);
-  m.fabrics[2]->kill();
-  std::vector<std::jthread> js;
-  for (int p = 0; p < 2; ++p) {
-    js.emplace_back([&m, p] {
-      std::vector<int> missing;
-      EXPECT_FALSE(m.fabrics[std::size_t(p)]->barrier(1, 5000, &missing));
-      EXPECT_EQ(missing, std::vector<int>{2});
-    });
-  }
-  js.clear();
 }
 
 TEST(NetFabric, ShutdownFlushesQueuedFrames) {
@@ -549,7 +552,7 @@ TEST(NetFabric, ChaosDropDupDelayExactlyOnce) {
   fault::reset();
 }
 
-// --- socket-backed World + NetAmTransport -----------------------------------
+// --- socket-backed World ----------------------------------------------------
 
 // Switches the process into socket mode with unit-test-sized timers, and
 // restores everything on teardown (the rest of the suite must keep running
@@ -626,90 +629,88 @@ TEST_F(SocketWorldTest, ChaosOverSocketsStaysExactlyOnce) {
   });
 }
 
-TEST_F(SocketWorldTest, NetAmTransportRegisterAndData) {
+// DDDF over sockets runs on the paper's transport, MpiTransport: REGISTER
+// and DATA are smpi messages, so the fabric carries them like any other.
+dddf::SpaceConfig cyclic(int ranks) {
+  return {
+      .home = [ranks](dddf::Guid g) { return int(g % dddf::Guid(ranks)); },
+      .size = [](dddf::Guid) { return std::size_t(64); },
+  };
+}
+
+TEST_F(SocketWorldTest, DddfRemoteAwaitMovesOneTransfer) {
+  const std::uint64_t frames_before =
+      support::MetricsRegistry::global().counter("net.frames.sent").value();
   smpi::World::run(2, [](smpi::Comm& comm) {
-    dddf::NetAmTransport t(comm.world(), comm.rank());
-    std::atomic<int> regs{0};
-    std::atomic<int> datas{0};
-    std::atomic<std::uint64_t> guid{0};
-    t.bind(
-        [&](dddf::Guid g, int requester) {
-          guid.store(g);
-          regs.fetch_add(1);
-          t.send_data(g, requester, dddf::Bytes{9, 9});
-        },
-        [&](dddf::Guid g, dddf::Bytes payload) {
-          EXPECT_EQ(g, 42u);
-          EXPECT_EQ(payload, (dddf::Bytes{9, 9}));
-          datas.fetch_add(1);
+    hcmpi::Context ctx(comm, {.num_workers = 2});
+    dddf::Space space(ctx, cyclic(2));
+    const dddf::Guid g = 42;  // homed at rank 0
+    ctx.run([&] {
+      if (ctx.rank() == 0) {
+        space.put_value<int>(g, 99);
+      } else {
+        std::atomic<int> got{-1};
+        hc::finish([&] {
+          space.async_await({g}, [&] { got.store(space.get_value<int>(g)); });
         });
-    if (comm.rank() == 1) {
-      t.send_register(42, 0);
-      ASSERT_TRUE(spin_until([&] { return datas.load() > 0; }));
-    }
-    t.finalize_barrier(10000);
-    if (comm.rank() == 0) {
-      EXPECT_EQ(regs.load(), 1);
-      EXPECT_EQ(guid.load(), 42u);
+        EXPECT_EQ(got.load(), 99);
+      }
+      space.finalize(10000);
+    });
+    auto& t = dynamic_cast<dddf::MpiTransport&>(space.transport());
+    if (ctx.rank() == 0) {
+      EXPECT_EQ(t.registrations_received(), 1u);
       EXPECT_EQ(t.data_messages_sent(), 1u);
+    } else {
+      EXPECT_EQ(space.remote_gets_issued(), 1u);
+      EXPECT_EQ(t.data_messages_sent(), 0u);
     }
   });
+  // The protocol crossed the sockets rather than a shared-memory shortcut.
+  EXPECT_GT(
+      support::MetricsRegistry::global().counter("net.frames.sent").value(),
+      frames_before);
 }
 
 TEST_F(SocketWorldTest, FinalizeBarrierNamesDeadRank) {
   // Rank 2 "dies" (its fabric is killed, as SIGKILL would): the survivors'
-  // finalize barrier must throw a BarrierTimeout naming rank 2, not hang.
+  // deadlined finalize must throw a BarrierTimeout naming rank 2, not hang.
   smpi::World::run(3, [](smpi::Comm& comm) {
-    dddf::NetAmTransport t(comm.world(), comm.rank());
-    std::atomic<int> regs{0};
-    std::atomic<int> echoes{0};
-    t.bind(
-        [&](dddf::Guid g, int requester) {
-          regs.fetch_add(1);
-          t.send_data(g, requester, {});  // receipt echo
-        },
-        [&](dddf::Guid, dddf::Bytes) { echoes.fetch_add(1); });
-    // Handshake on the AM plane itself, so the kill below races with no
-    // in-flight traffic. Everyone registers with everyone; a receiver
-    // echoes each register back as DATA. Rank 2 may only die once both
-    // peers echoed — proof its messages were *delivered*, not merely
-    // queued in the fabric the kill is about to destroy. The survivors
-    // wait only for their incoming registers, which that same proof (plus
-    // the live peer's reliable channel) guarantees will arrive.
-    for (int r = 0; r < comm.size(); ++r) {
-      if (r != comm.rank()) t.send_register(dddf::Guid(comm.rank()), r);
-    }
-    ASSERT_TRUE(
-        spin_until([&] { return regs.load() >= comm.size() - 1; }));
-    if (comm.rank() == 2) {
-      // If the echoes never land, fail here WITHOUT killing: the survivors
-      // then time out against a live-but-absent rank 2, still loudly.
-      ASSERT_TRUE(
-          spin_until([&] { return echoes.load() >= comm.size() - 1; }));
-      comm.world().net_fabric(2)->kill();
-      return;
-    }
-    try {
-      t.finalize_barrier(8000);
-      FAIL() << "finalize barrier did not surface the dead rank";
-    } catch (const dddf::BarrierTimeout& e) {
-      EXPECT_EQ(e.rank(), comm.rank());
-      EXPECT_EQ(e.missing(), std::vector<int>{2});
-    }
+    hcmpi::Context ctx(comm, {.num_workers = 2});
+    dddf::Space space(ctx, cyclic(3));
+    const int me = ctx.rank();
+    ctx.run([&] {
+      // Handshake through the space itself, so the kill below races with no
+      // in-flight traffic. Round 1: every rank puts guid `me` and awaits
+      // the other two, so a survivor leaving it holds rank 2's value. Round
+      // 2: the survivors put guids 3 and 4 (homed at 0 and 1) only after
+      // round 1, and rank 2 awaits both: once they land, everything rank 2
+      // sent has been delivered, and rank 2 may die.
+      hc::finish([&] {
+        for (int r = 0; r < comm.size(); ++r) {
+          if (r == me) continue;
+          const dddf::Guid g = dddf::Guid(r);
+          space.async_await({g}, [&space, g, r] {
+            EXPECT_EQ(space.get_value<int>(g), r);
+          });
+        }
+        space.put_value<int>(dddf::Guid(me), me);
+      });
+      if (me == 2) {
+        hc::finish([&] { space.async_await({3, 4}, [] {}); });
+        comm.world().net_fabric(2)->kill();
+        return;
+      }
+      space.put_value<int>(dddf::Guid(3 + me), me);
+      try {
+        space.finalize(8000);
+        ADD_FAILURE() << "finalize did not surface the dead rank";
+      } catch (const dddf::BarrierTimeout& e) {
+        EXPECT_EQ(e.rank(), me);
+        EXPECT_EQ(e.missing(), std::vector<int>{2});
+      }
+    });
   });
-}
-
-TEST(NetAmTransportModes, RequiresSocketMode) {
-  // Thread mode has no fabric: the constructor must refuse loudly instead
-  // of half-working. Forced explicitly so the test also holds when the CI
-  // job exports HCMPI_TRANSPORT=socket for the whole process.
-  const net::Mode prev = net::mode();
-  net::set_mode(net::Mode::kThread);
-  smpi::World::run(2, [](smpi::Comm& comm) {
-    EXPECT_THROW(dddf::NetAmTransport(comm.world(), comm.rank()),
-                 std::logic_error);
-  });
-  net::set_mode(prev);
 }
 
 }  // namespace

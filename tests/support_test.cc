@@ -393,6 +393,23 @@ TEST(Flags, ParsesEqualsAndSpaceForms) {
   EXPECT_DOUBLE_EQ(f.get_double("alpha", 0.0), 3.0);
 }
 
+TEST(Flags, StrictAcceptsKnownFlags) {
+  const char* argv[] = {"prog", "--alpha=3", "--gamma"};
+  support::Flags f(3, const_cast<char**>(argv), {"alpha", "beta", "gamma"},
+                   "usage: prog\n");
+  EXPECT_EQ(f.get_int("alpha", 0), 3);
+  EXPECT_TRUE(f.get_bool("gamma", false));
+  EXPECT_FALSE(f.has("beta"));
+}
+
+TEST(FlagsDeathTest, StrictRejectsUnknownFlag) {
+  const char* argv[] = {"prog", "--alpha=3", "--help"};
+  EXPECT_EXIT(support::Flags(3, const_cast<char**>(argv), {"alpha"},
+                             "usage: prog --alpha=N\n"),
+              ::testing::ExitedWithCode(2),
+              "unknown flag --help\nusage: prog --alpha=N");
+}
+
 // --- Spin ------------------------------------------------------------------------
 
 TEST(Spin, LockExcludesConcurrentIncrements) {

@@ -3,10 +3,13 @@
 // Run mode (default) — execute the three canonical workloads and write the
 // canonical report:
 //
-//   bench_report [--out=BENCH_9.json] [--reps=5] [--warmup=1] [--workers=4]
+//   bench_report --out=<file> [--reps=5] [--warmup=1] [--workers=4]
 //                [--steal=one|half|adaptive] [--transport=thread|socket]
 //                [--only=bench1,bench2] [--quick] [--quiet]
 //
+//   --out is required, so a run never overwrites a committed BENCH_N.json
+//   by default. Any unknown flag (--help included) prints the usage and
+//   exits 2 before anything runs.
 //   --quick shrinks every workload (1 warmup, 3 reps, smaller trees/counts)
 //   for the CI perf-smoke lane; nightly/local runs use the defaults.
 //   --steal pins the scheduler's steal-batch policy for the whole run and
@@ -31,6 +34,16 @@
 #include "support/flags.h"
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: bench_report --out=<file> [--reps=N] [--warmup=N] [--workers=N]\n"
+    "                    [--steal=one|half|adaptive] "
+    "[--transport=thread|socket]\n"
+    "                    [--only=bench1,bench2] [--quick] [--quiet]\n"
+    "                    [--micro-tasks=N] [--uts-gen-mx=N] "
+    "[--msgrate-msgs=N]\n"
+    "       bench_report --compare --baseline=<file> --candidate=<file>\n"
+    "                    [--threshold=0.10]\n";
 
 int run_compare(const support::Flags& flags) {
   const std::string base_path = flags.get("baseline", "");
@@ -73,6 +86,12 @@ int run_compare(const support::Flags& flags) {
 }
 
 int run_benchmarks(const support::Flags& flags) {
+  const std::string out = flags.get("out", "");
+  if (out.empty()) {
+    std::fprintf(stderr, "bench_report: --out=<file> is required\n%s",
+                 kUsage);
+    return 2;
+  }
   bench::RunOptions o;
   if (flags.get_bool("quick", false)) {
     o.warmup = 1;
@@ -110,7 +129,6 @@ int run_benchmarks(const support::Flags& flags) {
 
   bench::Report r = bench::run_all(o);
 
-  const std::string out = flags.get("out", "BENCH_9.json");
   if (!bench::write_report(r, out)) {
     std::fprintf(stderr, "bench_report: failed to write %s\n", out.c_str());
     return 2;
@@ -129,7 +147,12 @@ int run_benchmarks(const support::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::Flags flags(argc, argv);
+  support::Flags flags(argc, argv,
+                       {"compare", "baseline", "candidate", "threshold", "out",
+                        "reps", "warmup", "workers", "steal", "transport",
+                        "only", "quick", "quiet", "micro-tasks", "uts-gen-mx",
+                        "msgrate-msgs"},
+                       kUsage);
   if (flags.get_bool("compare", false)) return run_compare(flags);
   return run_benchmarks(flags);
 }
