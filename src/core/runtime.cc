@@ -209,6 +209,7 @@ Runtime::TaskPoolStats Runtime::task_pool_stats() const {
     s.freelist_misses += p.freelist_misses();
     s.remote_frees += p.remote_frees();
     s.slabs += p.slab_count();
+    s.live_high_water += p.live_high_water();
   };
   for (const auto& w : workers_) add(*w);
   int producers = producer_count_.load(std::memory_order_acquire);
@@ -246,6 +247,7 @@ void Runtime::export_metrics(support::MetricsRegistry& reg) const {
   reg.counter("hc.task_pool.freelist_misses").add(ps.freelist_misses);
   reg.counter("hc.task_pool.remote_frees").add(ps.remote_frees);
   reg.counter("hc.task_pool.slabs").add(ps.slabs);
+  reg.counter("hc.task_pool.live_high_water").add(ps.live_high_water);
   // Load-balance shape: one sample per computation worker, so p50/p95 of
   // tasks-per-worker expose skew without a name per worker id.
   auto& h = reg.histogram("hc.tasks_per_worker");

@@ -124,6 +124,9 @@ class Runtime {
     std::uint64_t freelist_misses = 0;
     std::uint64_t remote_frees = 0;
     std::uint64_t slabs = 0;
+    // Sum over pools of each pool's peak live-slot count; bounds
+    // freelist_misses (TaskPool::live_high_water).
+    std::uint64_t live_high_water = 0;
   };
   TaskPoolStats task_pool_stats() const;
 

@@ -79,6 +79,7 @@ class TaskPool {
   // `pool` points back here so destroy_task() can recycle it.
   template <typename... Args>
   Task* acquire(Args&&... args) {
+    note_live();
     void* slot = take_slot();
     Task* t = ::new (slot) Task(std::forward<Args>(args)...);
     t->pool = this;
@@ -100,6 +101,7 @@ class TaskPool {
     if (owner_.load(std::memory_order_relaxed) == std::this_thread::get_id()) {
       n->next = local_free_;
       local_free_ = n;
+      ++local_frees_;
     } else {
       FreeNode* head = remote_free_.load(std::memory_order_relaxed);
       do {
@@ -107,7 +109,8 @@ class TaskPool {
       } while (!remote_free_.compare_exchange_weak(head, n,
                                                    std::memory_order_release,
                                                    std::memory_order_relaxed));
-      remote_frees_.fetch_add(1, std::memory_order_relaxed);
+      // Counted after the push, with release: see note_live().
+      remote_frees_.fetch_add(1, std::memory_order_release);
     }
   }
 
@@ -124,6 +127,12 @@ class TaskPool {
   std::uint64_t slab_count() const {
     return slab_count_.load(std::memory_order_relaxed);
   }
+  // The most slots ever live (acquired, not yet released) at once. The pool
+  // bump-allocates a slot only when every slot it has handed out is live,
+  // so freelist_misses() <= live_high_water() always holds.
+  std::uint64_t live_high_water() const {
+    return live_high_water_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct FreeNode {
@@ -133,6 +142,22 @@ class TaskPool {
 
   static void bump(std::atomic<std::uint64_t>& c) {
     c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+
+  // Owner: counts the acquire in progress as live, before take_slot() looks
+  // at the free lists. A free counted here was pushed before this load (the
+  // remote count is bumped after the push, with release), so its slot is
+  // still on a free list when take_slot() looks, or was acquired again
+  // since. A miss therefore finds every bump-allocated slot counted live,
+  // which keeps misses <= high water.
+  void note_live() {
+    const std::uint64_t live =
+        hits_.load(std::memory_order_relaxed) +
+        misses_.load(std::memory_order_relaxed) + 1 - local_frees_ -
+        remote_frees_.load(std::memory_order_acquire);
+    if (live > live_high_water_.load(std::memory_order_relaxed)) {
+      live_high_water_.store(live, std::memory_order_relaxed);
+    }
   }
 
   void* take_slot() {
@@ -172,6 +197,7 @@ class TaskPool {
   unsigned char* bump_ = nullptr;
   unsigned char* bump_end_ = nullptr;
   std::vector<unsigned char*> slabs_;
+  std::uint64_t local_frees_ = 0;
 
   // Cross-thread state.
   alignas(kCacheLine) std::atomic<FreeNode*> remote_free_{nullptr};
@@ -181,6 +207,7 @@ class TaskPool {
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> remote_frees_{0};
   std::atomic<std::uint64_t> slab_count_{0};
+  std::atomic<std::uint64_t> live_high_water_{0};
 };
 
 // The one retirement path for every Task, pooled or heap-allocated.

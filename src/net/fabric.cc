@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 
 #include "fault/fault.h"
@@ -27,6 +28,8 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kOutbufHighWater = 1u << 20;  // stop draining sendq
 constexpr std::size_t kReadChunk = 64 * 1024;
+// transmit() lane for goodbyes, which the fault plane never touches.
+constexpr int kExemptLane = -1;
 
 support::MetricsRegistry::Counter& ctr(const char* name) {
   return support::MetricsRegistry::global().counter(name);
@@ -35,6 +38,7 @@ support::MetricsRegistry::Counter& ctr(const char* name) {
 // Cached counters: one registry lookup per process, not per frame.
 struct Counters {
   support::MetricsRegistry::Counter& frames_sent = ctr("net.frames.sent");
+  support::MetricsRegistry::Counter& acks_sent = ctr("net.acks.sent");
   support::MetricsRegistry::Counter& frames_recv = ctr("net.frames.received");
   support::MetricsRegistry::Counter& bytes_sent = ctr("net.bytes.sent");
   support::MetricsRegistry::Counter& bytes_recv = ctr("net.bytes.received");
@@ -148,11 +152,23 @@ void Fabric::open_listener() {
   }
 }
 
+// One wake per burst: only the caller that flips wake_pending_ writes the
+// pipe. The IO loop clears the flag after draining the pipe (C), and its
+// next pass then drains the sendqs under mu_ (D). A sender that finds the
+// flag set skips the write, but its frame is already queued under mu_:
+// either that push precedes D in mu_ order, and D takes the frame, or D
+// precedes the push, so C happens-before the sender's flag load, which then
+// reads a value some waker set after C, and that waker wrote the pipe, so
+// the next poll returns at once and the pass after D takes the frame. The
+// same holds for every other state change that is made under mu_ before
+// wake() (shutdown, kill, pause_tx, drop_connections).
 void Fabric::wake() {
-  if (wake_wr_ >= 0) {
-    char b = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_wr_, &b, 1);
+  if (wake_wr_ < 0 || wake_pending_.load(std::memory_order_relaxed) ||
+      wake_pending_.exchange(true, std::memory_order_acq_rel)) {
+    return;
   }
+  char b = 1;
+  [[maybe_unused]] ssize_t n = ::write(wake_wr_, &b, 1);
 }
 
 Fabric::SendResult Fabric::try_send(int dst, Frame& f) {
@@ -479,70 +495,79 @@ void Fabric::finish_connect(Peer& p) {
   }
 }
 
-void Fabric::emit_control(Peer& p, const Frame& f, Clock::time_point now) {
-  Bytes enc;
-  append_frame(enc, f);
+// Encodes f straight onto the outbuf. The fault plane then acts on the
+// appended tail: cut it off again (drop; the RTO scan or the next
+// heartbeat/ack makes up for it), move it to the delay queue, or copy it
+// (dup). Goodbye uses kExemptLane, and hello skips transmit (attach()):
+// neither is sequenced nor retransmitted, so dropping them would break
+// liveness, not exercise robustness.
+void Fabric::transmit(Peer& p, const Frame& f, int lane,
+                      Clock::time_point now) {
+  const std::size_t at = p.outbuf.size();
+  append_frame(p.outbuf, f);
+  const std::size_t n = p.outbuf.size() - at;
   counters().frames_sent.add();
-  counters().bytes_sent.add(enc.size());
-  // Acks and heartbeats ride the ack lane of the fault plane; hello and
-  // goodbye are exempt (see attach()).
-  if (fault::enabled() &&
-      (f.kind == FrameKind::kAck || f.kind == FrameKind::kHeartbeat)) {
-    fault::Decision d = fault::decide(opts_.proc, p.id, fault::kAckLane);
-    if (d.drop) return;
-    if (d.delay_us != 0) {
-      p.delayed.emplace_back(now + std::chrono::microseconds(d.delay_us),
-                             std::move(enc));
+  counters().bytes_sent.add(n);
+  if (f.kind == FrameKind::kAck) counters().acks_sent.add();
+  if (lane != kExemptLane && fault::enabled()) {
+    const fault::Decision d = fault::decide(opts_.proc, p.id, lane);
+    if (d.drop) {
+      p.outbuf.resize(at);
       return;
     }
-    if (d.dup) p.outbuf.insert(p.outbuf.end(), enc.begin(), enc.end());
+    if (d.delay_us != 0) {
+      const auto due = now + std::chrono::microseconds(d.delay_us);
+      Bytes tail(p.outbuf.begin() + std::ptrdiff_t(at), p.outbuf.end());
+      p.outbuf.resize(at);
+      if (d.dup) p.delayed.emplace_back(due, tail);
+      p.delayed.emplace_back(due, std::move(tail));
+      return;
+    }
+    if (d.dup) {
+      p.outbuf.resize(at + 2 * n);
+      std::memcpy(p.outbuf.data() + at + n, p.outbuf.data() + at, n);
+    }
   }
-  p.outbuf.insert(p.outbuf.end(), enc.begin(), enc.end());
   p.last_tx = now;
 }
 
-void Fabric::transmit(Peer& p, const Frame& f, int lane,
-                      Clock::time_point now) {
-  Bytes enc;
-  append_frame(enc, f);
-  counters().frames_sent.add();
-  counters().bytes_sent.add(enc.size());
-  if (fault::enabled()) {
-    fault::Decision d = fault::decide(opts_.proc, p.id, lane);
-    if (d.drop) return;  // the RTO scan retransmits it
-    if (d.delay_us != 0) {
-      if (d.dup) {
-        p.delayed.emplace_back(now + std::chrono::microseconds(d.delay_us),
-                               enc);
-      }
-      p.delayed.emplace_back(now + std::chrono::microseconds(d.delay_us),
-                             std::move(enc));
-      return;
-    }
-    if (d.dup) p.outbuf.insert(p.outbuf.end(), enc.begin(), enc.end());
-  }
-  p.outbuf.insert(p.outbuf.end(), enc.begin(), enc.end());
-  p.last_tx = now;
+void Fabric::send_control(Peer& p, FrameKind kind, std::uint8_t flags,
+                          std::uint64_t seq, int lane, Clock::time_point now) {
+  Frame f;
+  f.kind = kind;
+  f.flags = flags;
+  f.seq = seq;
+  f.src = std::uint32_t(opts_.proc);
+  f.dst = std::uint32_t(p.id);
+  transmit(p, f, lane, now);
 }
 
 void Fabric::drain_sendq(Peer& p, Clock::time_point now) {
-  bool popped = false;
-  while (p.outbuf.size() - p.outoff < kOutbufHighWater) {
-    Frame f;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (p.sendq.empty()) break;
-      f = std::move(p.sendq.front());
+  const std::size_t pending = p.outbuf.size() - p.outoff;
+  if (pending >= kOutbufHighWater) return;
+  // One lock per batch: take frames until their encoded size fills the room
+  // below the high-water mark (the last one may overshoot it, as a single
+  // large frame always could).
+  std::size_t room = kOutbufHighWater - pending;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    while (room > 0 && !p.sendq.empty()) {
+      room -= std::min(room, kHeaderBytes + p.sendq.front().payload.size());
+      p.batch.push_back(std::move(p.sendq.front()));
       p.sendq.pop_front();
-      ++p.unacked_count;
-      popped = true;
     }
+    p.unacked_count += p.batch.size();
+  }
+  if (p.batch.empty()) return;
+  cv_.notify_all();  // senders parked on a full queue
+  const auto rto = now + std::chrono::milliseconds(opts_.rto_ms);
+  for (Frame& f : p.batch) {
     transmit(p, f, fault::kPayloadLane, now);
     const std::uint64_t seq = f.seq;
-    const auto rto = std::chrono::milliseconds(opts_.rto_ms);
-    p.unacked.emplace(seq, Unacked{std::move(f), 1, now + rto});
+    p.unacked.emplace_hint(p.unacked.end(), seq,
+                           Unacked{std::move(f), 1, rto});
   }
-  if (popped) cv_.notify_all();  // senders parked on a full queue
+  p.batch.clear();
 }
 
 void Fabric::flush_out(Peer& p) {
@@ -576,17 +601,9 @@ void Fabric::handle_frame(Peer& p, Frame&& f, Clock::time_point now) {
     case FrameKind::kHello:     // duplicate hello after a reconnect race
     case FrameKind::kHeartbeat:
       return;
-    case FrameKind::kAck: {
-      auto it = p.unacked.find(f.seq);
-      if (it == p.unacked.end()) return;  // ack of an already-acked dup
-      p.unacked.erase(it);
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        --p.unacked_count;
-      }
-      cv_.notify_all();
+    case FrameKind::kAck:
+      on_ack(p, f);
       return;
-    }
     case FrameKind::kGoodbye: {
       {
         std::lock_guard<std::mutex> lk(mu_);
@@ -600,24 +617,57 @@ void Fabric::handle_frame(Peer& p, Frame&& f, Clock::time_point now) {
       break;  // everything else is sequenced, see below
   }
   const std::uint64_t seq = f.seq;
-  std::vector<Frame> released;
-  if (!p.reorder.push(std::move(f), &released)) {
+  const bool above_gap = seq > p.reorder.next_seq();
+  if (!p.reorder.push(std::move(f), &p.released)) {
     return;  // gap buffer full — no ack, the sender's RTO retries later
   }
-  // Ack every accepted frame, duplicates included: a re-received frame
-  // usually means our previous ack was lost.
-  Frame ack;
-  ack.kind = FrameKind::kAck;
-  ack.seq = seq;
-  ack.src = std::uint32_t(opts_.proc);
-  ack.dst = std::uint32_t(p.id);
-  emit_control(p, ack, now);
+  // In-order frames and below-horizon duplicates (a re-received frame
+  // usually means our previous ack was lost) are covered by the one
+  // cumulative ack after this read batch. A frame buffered above a gap is
+  // acked on its own now, so the RTO does not resend it while the gap is
+  // repaired.
+  if (above_gap) {
+    send_control(p, FrameKind::kAck, 0, seq, fault::kAckLane, now);
+  } else {
+    p.ack_due = true;
+  }
   // A kind no consumer reads is untrusted input: it keeps its place in the
-  // sequence (acked above, so the stream stays gapless) and is dropped here
+  // sequence (acked, so the stream stays gapless) and is dropped here
   // instead of reaching the consumer.
-  for (Frame& r : released) {
+  for (Frame& r : p.released) {
     if (reliable(r.kind) && deliver_) deliver_(std::move(r));
   }
+  p.released.clear();
+}
+
+void Fabric::ack_batch(Peer& p, Clock::time_point now) {
+  if (!p.ack_due) return;
+  p.ack_due = false;
+  send_control(p, FrameKind::kAck, kFlagCumulative, p.reorder.next_seq(),
+               fault::kAckLane, now);
+}
+
+void Fabric::on_ack(Peer& p, const Frame& f) {
+  auto first = p.unacked.begin();
+  auto last = first;
+  if ((f.flags & kFlagCumulative) != 0) {
+    last = p.unacked.lower_bound(f.seq);  // acks [begin, f.seq)
+  } else {
+    first = p.unacked.find(f.seq);
+    if (first == p.unacked.end()) return;  // ack of an already-acked dup
+    last = std::next(first);
+  }
+  if (first == last) return;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    // Wire input is untrusted: a cumulative ack beyond every seq assigned
+    // so far cannot come from a correct peer, and honouring it would drop
+    // frames that were never acked from the retransmit window.
+    if (f.seq > p.tx_next) return;
+    p.unacked_count -= std::size_t(std::distance(first, last));
+  }
+  p.unacked.erase(first, last);
+  cv_.notify_all();
 }
 
 void Fabric::read_ready(Peer& p, Clock::time_point now) {
@@ -651,6 +701,7 @@ void Fabric::read_ready(Peer& p, Clock::time_point now) {
   // the reader.
   Frame f;
   while (p.reader.next(&f)) handle_frame(p, std::move(f), now);
+  ack_batch(p, now);
   if (down) conn_down(p, down_err);
 }
 
@@ -698,6 +749,7 @@ void Fabric::poll_pending_accepts(Clock::time_point now) {
           while (p.fd >= 0 && p.reader.next(&g)) {
             handle_frame(p, std::move(g), now);
           }
+          ack_batch(p, now);
         } else {
           ::close(pa.fd);
         }
@@ -782,28 +834,18 @@ void Fabric::maintain(Peer& p, Clock::time_point now) {
   if (goodbye) {
     if (!p.goodbye_sent ||
         now - p.last_tx >= std::chrono::milliseconds(opts_.heartbeat_ms)) {
-      Frame bye;
-      bye.kind = FrameKind::kGoodbye;
       bool err;
       {
         std::lock_guard<std::mutex> lk(mu_);
         err = goodbye_error_;
       }
-      bye.flags = err ? kFlagError : 0;
-      bye.src = std::uint32_t(opts_.proc);
-      bye.dst = std::uint32_t(p.id);
-      append_frame(p.outbuf, bye);  // exempt from injection, like hello
-      counters().frames_sent.add();
-      p.last_tx = now;
+      send_control(p, FrameKind::kGoodbye, err ? kFlagError : 0, 0,
+                   kExemptLane, now);
       p.goodbye_sent = true;
     }
   } else if (now - p.last_tx >=
              std::chrono::milliseconds(opts_.heartbeat_ms)) {
-    Frame hb;
-    hb.kind = FrameKind::kHeartbeat;
-    hb.src = std::uint32_t(opts_.proc);
-    hb.dst = std::uint32_t(p.id);
-    emit_control(p, hb, now);
+    send_control(p, FrameKind::kHeartbeat, 0, 0, fault::kAckLane, now);
     counters().heartbeats.add();
   }
   // pause_tx freezes the wire completely: bytes stay in the outbuf.
@@ -829,6 +871,9 @@ void Fabric::io_main() {
     ring = std::make_unique<support::trace::Ring>();
     support::trace::set_thread_ring(ring.get());
   }
+  // Poll set scratch, reused across passes.
+  std::vector<pollfd> fds;
+  std::vector<Peer*> fd_peer;
   for (;;) {
     bool stop, drop, paused;
     {
@@ -858,8 +903,8 @@ void Fabric::io_main() {
       }
     }
     // Poll set: wake pipe, listener, pending accepts, live peers.
-    std::vector<pollfd> fds;
-    std::vector<Peer*> fd_peer;
+    fds.clear();
+    fd_peer.clear();
     fds.push_back({wake_rd_, POLLIN, 0});
     fd_peer.push_back(nullptr);
     if (!dark && listen_fd_ >= 0) {
@@ -889,6 +934,8 @@ void Fabric::io_main() {
       char buf[256];
       while (::read(wake_rd_, buf, sizeof buf) > 0) {
       }
+      // After the drain, before the next pass's sendq drain (see wake()).
+      wake_pending_.store(false, std::memory_order_release);
     }
     for (std::size_t i = accept_base; i < fds.size(); ++i) {
       Peer* p = fd_peer[i];

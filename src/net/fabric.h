@@ -3,14 +3,21 @@
 // A Fabric owns one duplex stream connection per peer process (Unix-domain
 // by default, TCP loopback when tcp_base is set) and a single poll()-driven
 // IO thread that does everything: connect/accept supervision with
-// capped-backoff reconnect, framing, per-connection sequencing + selective
-// acks + RTO retransmission, in-order release through a Reorderer,
-// heartbeats and silence-based peer-death detection, deferred (never
-// sleeping) fault-injected delays, and the flush→goodbye teardown
-// handshake. Senders interact only through bounded per-peer queues:
-// try_send() reports kWouldBlock instead of buffering without limit, and
-// send() parks on a condition variable until the queue drains or the peer
-// dies.
+// capped-backoff reconnect, framing, per-connection sequencing + acks + RTO
+// retransmission, in-order release through a Reorderer, heartbeats and
+// silence-based peer-death detection, deferred (never sleeping)
+// fault-injected delays, and the flush→goodbye teardown handshake. Senders
+// interact only through bounded per-peer queues: try_send() reports
+// kWouldBlock instead of buffering without limit, and send() parks on a
+// condition variable until the queue drains or the peer dies.
+//
+// The data path pays its fixed costs per burst, not per frame:
+//   * one wake per burst: a sender writes the wake pipe only when it flips
+//     wake_pending_, and the IO loop clears the flag once per pass;
+//   * one cumulative ack per read batch (kFlagCumulative, the Reorderer
+//     horizon), plus a selective ack for each frame buffered above a gap;
+//   * one mu_ acquisition and one notify per batch drained from a sendq;
+//   * frames are encoded straight into the connection's outbuf.
 //
 // The Fabric is process-agnostic on purpose: `proc` is just its address in
 // the mesh, so a test (or the socket *loopback* mode) can run several
@@ -19,13 +26,14 @@
 // without fork/exec.
 //
 // Fault injection (fault::decide) hooks the transmit point: a dropped frame
-// is simply not written (the RTO resends it), a duplicate is written twice,
-// a delay parks the encoded bytes on a timer queue. Channel ids are process
-// ids and the per-channel decision sequence advances in transmit order on
-// the single IO thread, so a seeded chaos schedule is byte-identical across
-// runs — the same property the thread-mode wire has.
+// is cut off the outbuf again (the RTO resends it), a duplicate is written
+// twice, a delay moves the encoded bytes to a timer queue. Channel ids are
+// process ids and the per-channel decision sequence advances in transmit
+// order on the single IO thread, so a seeded chaos schedule is
+// byte-identical across runs — the same property the thread-mode wire has.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -143,7 +151,10 @@ class Fabric {
     bool ever_up = false;
     FrameReader reader;
     Reorderer reorder;
+    std::vector<Frame> released;  // Reorderer output scratch
+    bool ack_due = false;  // in-order frames since the last cumulative ack
     std::map<std::uint64_t, Unacked> unacked;
+    std::vector<Frame> batch;  // drain_sendq scratch
     Bytes outbuf;
     std::size_t outoff = 0;
     // Fault-delayed encoded frames: (due, bytes). Flushed by the IO loop;
@@ -180,12 +191,15 @@ class Fabric {
   void drain_sendq(Peer& p, std::chrono::steady_clock::time_point now);
   void transmit(Peer& p, const Frame& f, int lane,
                 std::chrono::steady_clock::time_point now);
-  void emit_control(Peer& p, const Frame& f,
+  void send_control(Peer& p, FrameKind kind, std::uint8_t flags,
+                    std::uint64_t seq, int lane,
                     std::chrono::steady_clock::time_point now);
   void flush_out(Peer& p);
   void read_ready(Peer& p, std::chrono::steady_clock::time_point now);
   void handle_frame(Peer& p, Frame&& f,
                     std::chrono::steady_clock::time_point now);
+  void on_ack(Peer& p, const Frame& f);
+  void ack_batch(Peer& p, std::chrono::steady_clock::time_point now);
   void accept_ready(std::chrono::steady_clock::time_point now);
   void poll_pending_accepts(std::chrono::steady_clock::time_point now);
   void check_dark();
@@ -210,6 +224,7 @@ class Fabric {
   int listen_fd_ = -1;
   int wake_rd_ = -1;
   int wake_wr_ = -1;
+  std::atomic<bool> wake_pending_{false};  // a pipe byte is on its way
   std::vector<PendingAccept> pending_accepts_;
   std::string listen_path_;  // UDS file to unlink on exit
 

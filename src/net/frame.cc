@@ -26,6 +26,12 @@ std::uint32_t rd_u32(const std::uint8_t* p) {
 std::uint64_t rd_u64(const std::uint8_t* p) {
   return std::uint64_t(rd_u32(p)) | std::uint64_t(rd_u32(p + 4)) << 32;
 }
+void wr_u32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = std::uint8_t(v);
+  p[1] = std::uint8_t(v >> 8);
+  p[2] = std::uint8_t(v >> 16);
+  p[3] = std::uint8_t(v >> 24);
+}
 }  // namespace
 
 bool ByteReader::u32(std::uint32_t* v) {
@@ -50,16 +56,22 @@ bool ByteReader::i32(std::int32_t* v) {
 }
 
 void append_frame(Bytes& out, const Frame& f) {
-  put_u32(out, kMagic);
-  out.push_back(std::uint8_t(f.kind));
-  out.push_back(f.flags);
-  out.push_back(std::uint8_t(f.a));
-  out.push_back(std::uint8_t(f.a >> 8));
-  put_u32(out, f.src);
-  put_u32(out, f.dst);
-  put_u64(out, f.seq);
-  put_u32(out, std::uint32_t(f.payload.size()));
-  out.insert(out.end(), f.payload.begin(), f.payload.end());
+  const std::size_t at = out.size();
+  out.resize(at + kHeaderBytes + f.payload.size());
+  std::uint8_t* h = out.data() + at;
+  wr_u32(h, kMagic);
+  h[4] = std::uint8_t(f.kind);
+  h[5] = f.flags;
+  h[6] = std::uint8_t(f.a);
+  h[7] = std::uint8_t(f.a >> 8);
+  wr_u32(h + 8, f.src);
+  wr_u32(h + 12, f.dst);
+  wr_u32(h + 16, std::uint32_t(f.seq));
+  wr_u32(h + 20, std::uint32_t(f.seq >> 32));
+  wr_u32(h + 24, std::uint32_t(f.payload.size()));
+  if (!f.payload.empty()) {
+    std::memcpy(h + kHeaderBytes, f.payload.data(), f.payload.size());
+  }
 }
 
 void FrameReader::feed(const std::uint8_t* data, std::size_t len) {

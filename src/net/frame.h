@@ -4,12 +4,18 @@
 //
 // A connection is a duplex byte stream between two processes carrying
 // length-prefixed frames. The one reliable frame kind, kSmpi, gets a
-// per-connection sequence number assigned by the sender; the receiver acks
-// each one (kAck echoes the seq), releases them in order through a
-// Reorderer, and the sender retransmits anything unacked past its RTO.
+// per-connection sequence number assigned by the sender; the receiver
+// releases them in order through a Reorderer and acks them, and the sender
+// retransmits anything unacked past its RTO. Acks come in two forms:
+//   * cumulative (kFlagCumulative): seq = the receiver's Reorderer horizon,
+//     acking every seq below it. One per read batch, however many in-order
+//     frames (or below-horizon duplicates) the batch carried.
+//   * selective: seq = one frame buffered above a gap, acked at once so the
+//     sender's RTO does not resend it while the gap is repaired.
 // Hello/heartbeat/goodbye/ack are fire-and-forget control traffic with
-// seq 0. Any other kind is untrusted noise: it is sequenced and acked like
-// a reliable frame, so the stream stays gapless, then discarded at release.
+// seq 0 (an ack's seq field carries the acknowledged value). Any other
+// kind is untrusted noise: it is sequenced and acked like a reliable frame,
+// so the stream stays gapless, then discarded at release.
 //
 // Exactly-once is split across two layers on purpose:
 //   * the connection gives at-least-once, in-order *release* (Reorderer),
@@ -33,7 +39,7 @@ using Bytes = std::vector<std::uint8_t>;
 enum class FrameKind : std::uint8_t {
   kNone = 0,
   kHello = 1,      // first frame on a connection; a = sender's proc id
-  kAck = 2,        // seq = the acknowledged sequence number
+  kAck = 2,        // seq = acked seq, or the horizon if kFlagCumulative
   kHeartbeat = 3,  // liveness; silence past the death timeout = peer dead
   kGoodbye = 4,    // clean teardown; flags bit0 = "my ranks failed"
   kSmpi = 6,       // smpi envelope (world-rank subheader + payload)
@@ -47,6 +53,9 @@ inline bool reliable(FrameKind k) { return k == FrameKind::kSmpi; }
 // teardown uses it to propagate failure across the job (a remote rank death
 // must not look like a clean exit on surviving processes).
 inline constexpr std::uint8_t kFlagError = 0x1;
+
+// Ack flag: every seq below this ack's seq has been received.
+inline constexpr std::uint8_t kFlagCumulative = 0x2;
 
 // 28-byte little-endian header:
 //   u32 magic | u8 kind | u8 flags | u16 a | u32 src | u32 dst |

@@ -24,6 +24,10 @@ namespace {
 // agree across the job and sibling fabrics rendezvous on the same paths.
 std::atomic<int> g_job{0};
 
+// kSmpi subheader: src, dst, source, tag (i32), context (u32), pair seq and
+// injection timestamp (u64).
+constexpr std::size_t kSmpiSubheaderBytes = 4 * 4 + 4 + 2 * 8;
+
 // Session directory for loopback fabrics when HCMPI_SESSION is not set: one
 // mkdtemp per process, shared by all Worlds (the job counter disambiguates).
 const std::string& default_session() {
@@ -157,8 +161,9 @@ void World::net_ingest(net::Frame&& f) {
   env.source = source;
   env.tag = tag;
   env.context = context;
-  env.payload.assign(f.payload.begin() + std::ptrdiff_t(rd.off),
-                     f.payload.end());
+  f.payload.erase(f.payload.begin(),
+                  f.payload.begin() + std::ptrdiff_t(rd.off));
+  env.payload = std::move(f.payload);
   // Wire identity for the endpoint's exactly-once filter: retransmits and
   // injected duplicates below the reorder horizon reach this point too.
   env.faulty = true;
@@ -183,6 +188,7 @@ ErrorCode World::deliver(int src, int dst, Envelope&& env) {
         net_->pair_seq[std::size_t(src) * std::size_t(net_->nranks) +
                        std::size_t(dst)]
             .fetch_add(1, std::memory_order_relaxed);
+    f.payload.reserve(kSmpiSubheaderBytes + env.payload.size());
     net::put_i32(f.payload, src);
     net::put_i32(f.payload, dst);
     net::put_i32(f.payload, env.source);

@@ -9,6 +9,9 @@
 // `multiproc` job running the tier-1 suites under hcmpi_launch.
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -550,6 +553,171 @@ TEST(NetFabric, ChaosDropDupDelayExactlyOnce) {
     }
   }
   fault::reset();
+}
+
+// The ack-protocol tests below assert the exact frames a fabric sends on a
+// clean wire; injected delays would reorder them (every frame above a gap
+// earns its own ack by design). They switch injection off, e.g. when the
+// suite runs under HCMPI_FAULT, and restore it afterwards.
+class CleanWire {
+ public:
+  CleanWire() { fault::reset(); }
+  ~CleanWire() { fault::configure(saved_); }
+  CleanWire(const CleanWire&) = delete;
+  CleanWire& operator=(const CleanWire&) = delete;
+
+ private:
+  fault::Config saved_ = fault::config();
+};
+
+TEST(NetFabric, BurstIsAckedCumulatively) {
+  // A burst read in one batch earns one cumulative ack, not one ack per
+  // frame. The sender's wire is held while the burst queues, so it leaves
+  // in one write.
+  CleanWire clean;
+  auto& acks = support::MetricsRegistry::global().counter("net.acks.sent");
+  const std::uint64_t acks_before = acks.value();
+  Mesh m(2);
+  const int kN = 256;
+  m.fabrics[0]->pause_tx(true);
+  for (int i = 0; i < kN; ++i) {
+    Frame f = data_frame(std::uint32_t(i));
+    ASSERT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
+  }
+  m.fabrics[0]->pause_tx(false);
+  ASSERT_TRUE(m.wait_fresh(1, kN));
+  std::vector<Frame> got = m.fresh(1);
+  ASSERT_EQ(got.size(), std::size_t(kN));
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(tag_of(got[std::size_t(i)]), std::uint32_t(i));
+  }
+  // Shutdown's flush phase waits for every frame to be acked; if the
+  // cumulative acks missed any, it would run into its 2 s deadline.
+  const auto t0 = std::chrono::steady_clock::now();
+  m.shutdown_all();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_LT(acks.value() - acks_before, std::uint64_t(kN));
+}
+
+// A hand-driven proc 0 on a raw Unix socket, connected to a Mesh whose
+// proc 0 was skipped: it puts frames on the wire a Fabric never would.
+class RawPeer {
+ public:
+  explicit RawPeer(const std::string& path) {
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    connected_ =
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
+    if (connected_) send(control(FrameKind::kHello, 0, 0));
+  }
+  ~RawPeer() { ::close(fd_); }
+  RawPeer(const RawPeer&) = delete;
+  RawPeer& operator=(const RawPeer&) = delete;
+
+  bool connected() const { return connected_; }
+
+  static Frame control(FrameKind kind, std::uint8_t flags, std::uint64_t seq) {
+    Frame f;
+    f.kind = kind;
+    f.flags = flags;
+    f.seq = seq;
+    f.src = 0;
+    f.dst = 1;
+    return f;
+  }
+
+  void send(const Frame& f) {
+    net::Bytes b;
+    net::append_frame(b, f);
+    std::size_t off = 0;
+    while (off < b.size()) {
+      ssize_t n = ::send(fd_, b.data() + off, b.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) return;
+      off += std::size_t(n);
+    }
+  }
+
+  // Next frame of `kind` within `ms`, heartbeating meanwhile so the fabric
+  // does not declare this peer dead.
+  bool next(FrameKind kind, Frame* out, int ms) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+    while (std::chrono::steady_clock::now() < deadline) {
+      while (reader_.next(out)) {
+        if (out->kind == kind) return true;
+      }
+      send(control(FrameKind::kHeartbeat, 0, 0));
+      pollfd pfd{fd_, POLLIN, 0};
+      if (::poll(&pfd, 1, 5) > 0) {
+        std::uint8_t buf[4096];
+        ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
+        if (n <= 0) return false;
+        reader_.feed(buf, std::size_t(n));
+      }
+    }
+    return false;
+  }
+
+ private:
+  int fd_ = -1;
+  bool connected_ = false;
+  net::FrameReader reader_;
+};
+
+TEST(NetFabric, CumulativeAckBeyondAssignedSeqIsIgnored) {
+  // Wire input is untrusted: an ack of "everything below 1000" when only
+  // seq 0 was ever assigned must not empty the retransmit window.
+  CleanWire clean;
+  Mesh m(2, 1024, 5000, /*skip_proc=*/0);
+  RawPeer peer(m.session + "/j0.p1");
+  ASSERT_TRUE(peer.connected());
+  Frame f = data_frame(7);
+  ASSERT_EQ(m.fabrics[1]->send(0, f), net::Fabric::SendResult::kOk);
+  Frame got;
+  ASSERT_TRUE(peer.next(FrameKind::kSmpi, &got, 5000));
+  ASSERT_EQ(got.seq, 0u);
+  peer.send(RawPeer::control(FrameKind::kAck, net::kFlagCumulative, 1000));
+  // Still unacked, so the RTO keeps resending it (every 20-320 ms here).
+  int resent = 0;
+  while (resent < 2 && peer.next(FrameKind::kSmpi, &got, 2000)) {
+    EXPECT_EQ(got.seq, 0u);
+    ++resent;
+  }
+  EXPECT_EQ(resent, 2);
+  m.fabrics[1]->kill();
+}
+
+TEST(NetFabric, AcksSelectiveAboveGapCumulativeBehindIt) {
+  // A frame buffered above a gap is acked on its own at once; the frame
+  // that fills the gap earns one cumulative ack covering both.
+  CleanWire clean;
+  Mesh m(2, 1024, 5000, /*skip_proc=*/0);
+  RawPeer peer(m.session + "/j0.p1");
+  ASSERT_TRUE(peer.connected());
+  auto data = [](std::uint64_t seq) {
+    Frame f = data_frame(std::uint32_t(seq));
+    f.seq = seq;
+    f.src = 0;
+    f.dst = 1;
+    return f;
+  };
+  peer.send(data(1));
+  Frame ack;
+  ASSERT_TRUE(peer.next(FrameKind::kAck, &ack, 5000));
+  EXPECT_EQ(ack.flags & net::kFlagCumulative, 0);
+  EXPECT_EQ(ack.seq, 1u);
+  EXPECT_TRUE(m.fresh(1).empty());  // held behind the gap
+  peer.send(data(0));
+  ASSERT_TRUE(peer.next(FrameKind::kAck, &ack, 5000));
+  EXPECT_EQ(ack.flags & net::kFlagCumulative, net::kFlagCumulative);
+  EXPECT_EQ(ack.seq, 2u);
+  ASSERT_TRUE(m.wait_fresh(1, 2));
+  std::vector<Frame> got = m.fresh(1);
+  EXPECT_EQ(got[0].seq, 0u);
+  EXPECT_EQ(got[1].seq, 1u);
+  m.fabrics[1]->kill();
 }
 
 // --- socket-backed World ----------------------------------------------------
