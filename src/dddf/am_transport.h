@@ -4,11 +4,11 @@
 // APGNS claim that the model "can be implemented atop a wide range of
 // communication runtimes" (paper §I).
 //
-// Under hc-fault injection the protocol messages (REGISTER / DATA) become
-// *reliable* AMs: each carries a per-transport sequence number, the receiver
-// acks it, and the sender's progress thread retransmits unacked messages on
-// a capped-exponential RTO until the ack lands. Receiver-side dedup keeps
-// the payload transfer at-most-once, so injected drops and duplicates are
+// Under hc-fault injection the protocol messages (REGISTER / DATA) cross the
+// bus's fault::Link, the same synchronous faulty link the smpi thread wire
+// uses: the sender retries injected drops itself, every message carries its
+// (src, dst) pair's link seq, and the receiving progress thread drops any
+// seq it has already dispatched, so injected drops and duplicates are
 // invisible above the transport. With injection off none of this machinery
 // is touched.
 #pragma once
@@ -16,16 +16,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "dddf/transport.h"
+#include "fault/link.h"
+#include "net/frame.h"
 #include "support/mpsc_queue.h"
-#include "support/spin.h"
 
 namespace dddf {
 
@@ -41,23 +39,22 @@ class AmBus {
   friend class AmTransport;
 
   struct Msg {
-    enum class Kind : std::uint8_t { kRegister, kData, kPost, kStop, kAck };
+    enum class Kind : std::uint8_t { kRegister, kData, kPost, kStop };
     Kind kind = Kind::kPost;
     Guid guid = 0;
     int a = 0;  // requester (kRegister)
     Bytes payload;
     std::function<void()> fn;  // kPost
 
-    // Reliable-delivery header (hc-fault): sender rank + per-sender sequence
-    // number. The receiver acks (src, seq) and drops re-deliveries it has
-    // already dispatched.
-    bool reliable = false;
+    // Link header (hc-fault): sender rank, -1 unless the message crossed the
+    // faulty link, and its (src, dst) pair's link seq. The receiver drops a
+    // seq it has already dispatched.
     int src = -1;
     std::uint64_t seq = 0;
 
     // Injection timestamp (trace epoch ns), stamped only while prof
-    // telemetry is on. Retransmits carry the original stamp, so the
-    // dispatch-side latency histogram includes retry time.
+    // telemetry is on, before the link's retries, so the dispatch-side
+    // latency histogram includes retry time.
     std::uint64_t ts_inject = 0;
   };
 
@@ -66,6 +63,8 @@ class AmBus {
   };
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  // Carries protocol messages while fault injection is armed.
+  fault::Link link_;
 
   // Sense-reversing termination barrier; progress threads keep serving
   // while computation threads wait here. The parity-indexed arrival flags
@@ -90,38 +89,27 @@ class AmTransport : public Transport {
     return data_sent_.load(std::memory_order_relaxed);
   }
 
+  // Largest sparse set any one sender's dedup tracker has held (tests).
+  std::size_t dedup_high_water() const {
+    return dedup_hw_.load(std::memory_order_relaxed);
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct Unacked {
-    int to = 0;
-    AmBus::Msg msg;
-    std::uint32_t attempts = 0;
-    Clock::time_point next_rto;
-  };
-
   void progress_loop(std::stop_token st);
   void deliver(int to, AmBus::Msg msg);
-  // Protocol send: plain mailbox push with injection off; with injection on,
-  // stamps the reliable header, records the copy for retransmission and
-  // pushes it through the faulty wire.
+  // Protocol send: plain mailbox push with injection off; over the bus's
+  // faulty link with injection on.
   void send_protocol(int to, AmBus::Msg msg);
-  // One wire crossing of a (copy of a) message: draws a fault decision and
-  // delivers / delays / duplicates / drops accordingly.
-  void transmit(int to, const AmBus::Msg& msg);
-  // Retransmit any unacked message whose RTO expired (progress thread).
-  void retransmit_expired();
 
   std::shared_ptr<AmBus> bus_;
   std::atomic<std::uint64_t> data_sent_{0};
 
-  // Reliable-delivery state. `unacked_` is shared between sender threads
-  // (send_register may run anywhere) and the progress thread (acks, RTO
-  // scan); `seen_` and `acked-dedup` live on the progress thread only.
-  support::SpinLock unacked_mu_;
-  std::map<std::uint64_t, Unacked> unacked_;
-  std::atomic<std::uint64_t> next_seq_{1};
-  std::set<std::pair<int, std::uint64_t>> seen_;  // progress thread only
+  // Exactly-once filter, one tracker per sending rank (progress thread
+  // only), and its high-water mark for tests.
+  std::vector<net::SeqTracker> seen_;
+  std::atomic<std::size_t> dedup_hw_{0};
 
   std::jthread progress_;
 };

@@ -12,11 +12,12 @@
 //     (seed, src, dst, lane, per-channel sequence number), so the same seed
 //     replays the same per-channel injection schedule byte-for-byte no
 //     matter how threads interleave.
-//   * The decision point is hooked into the two deliver choke points —
-//     smpi's eager Endpoint delivery (all hcmpi p2p + collective + DDDF
-//     protocol traffic) and the AmBus mailboxes — which is where the
-//     recovery layers (seq/dedup/retransmit in smpi, ack/retransmit in the
-//     AM transport, request deadlines in hcmpi) earn their keep.
+//   * The decision point is hooked into two places: the in-memory faulty
+//     link (link.h), which carries smpi's local eager deliveries (all hcmpi
+//     p2p + collective + DDDF protocol traffic) and the AmBus mailboxes, and
+//     the socket fabric's transmit point. That is where the recovery layers
+//     (the link's retry + per-pair seq dedup, the fabric's ack/RTO/reorder,
+//     request deadlines in hcmpi) earn their keep.
 //   * A stall-watchdog configuration read by the hcmpi communication worker,
 //     plus a process-wide diagnostics registry so subsystems (the DDDF
 //     space) can contribute state dumps when the watchdog fires.

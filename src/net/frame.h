@@ -1,6 +1,6 @@
-// hc-net wire framing: the byte format every socket connection speaks, plus
-// the two receiver-side sequencing utilities the reliability layer is built
-// from (DESIGN.md §9).
+// hc-net wire framing: the byte format every socket connection speaks, the
+// Reorderer the connection's reliability layer is built from (DESIGN.md §9),
+// and the SeqTracker the in-memory links dedup with (DESIGN.md §6).
 //
 // A connection is a duplex byte stream between two processes carrying
 // length-prefixed frames. The one reliable frame kind, kSmpi, gets a
@@ -17,13 +17,10 @@
 // kind is untrusted noise: it is sequenced and acked like a reliable frame,
 // so the stream stays gapless, then discarded at release.
 //
-// Exactly-once is split across two layers on purpose:
-//   * the connection gives at-least-once, in-order *release* (Reorderer),
-//   * the consumer, the smpi Endpoint, dedups on an end-to-end identity
-//     (SeqTracker over a per-(src,dst) rank counter), because duplicates
-//     below the reorder horizon are passed UP, not swallowed here. A
-//     retransmit that raced its ack must be visible to the consumer's
-//     dedup filter or that machinery would be dead code on a real wire.
+// Exactly-once lives here, where the sequence is assigned: the Reorderer
+// releases each seq once, in order, and drops everything below its horizon
+// (a retransmit that raced its ack, an injected duplicate). The consumer
+// sees the raw sender stream and needs no dedup of its own.
 #pragma once
 
 #include <cstddef>
@@ -123,14 +120,14 @@ class FrameReader {
 
 // --- receiver-side sequencing -----------------------------------------------
 
-// In-order release of reliable frames for one connection. Frames arrive out
-// of order only through loss + retransmission (TCP/UDS streams don't
-// reorder), but retransmits make it routine: seq 7 lost, 8..12 buffered
-// here until 7's retransmit lands, then all release together. Duplicates
-// below the horizon are RELEASED (not dropped) so end-to-end dedup stays
-// load-bearing; duplicates of buffered frames are dropped. push() returns
-// false only when the gap buffer is full — the caller must NOT ack that
-// frame (the sender retries later, by which time the gap has drained).
+// In-order, exactly-once release of reliable frames for one connection.
+// Frames arrive out of order only through loss + retransmission (TCP/UDS
+// streams don't reorder), but retransmits make it routine: seq 7 lost,
+// 8..12 buffered here until 7's retransmit lands, then all release
+// together. Duplicates, below the horizon or of a buffered frame, are
+// dropped. push() returns false only when the gap buffer is full — the
+// caller must NOT ack that frame (the sender retries later, by which time
+// the gap has drained).
 class Reorderer {
  public:
   explicit Reorderer(std::size_t max_buffered = 4096)
@@ -148,8 +145,9 @@ class Reorderer {
 
 // Bounded exactly-once filter over a (mostly) gapless u64 counter: a
 // contiguous floor plus the sparse set of accepted seqs above it. Memory is
-// O(outstanding gaps), not O(messages) — this replaces the unbounded
-// wire_seen_ set the thread-mode chaos runs got away with.
+// O(outstanding gaps), not O(messages). The in-memory links (fault/link.h)
+// feed it one gapless counter per (src, dst) pair, so above() stays at most
+// the number of senders racing on that pair.
 class SeqTracker {
  public:
   // True exactly once per seq value.

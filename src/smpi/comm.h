@@ -100,11 +100,11 @@ class Comm {
   }
   std::uint32_t coll_context() const { return context_ | kCollectiveContextBit; }
 
-  // Delivery through the (optionally faulty) wire: with injection off this
-  // is exactly endpoint(dest).deliver(); with injection on it draws a fault
-  // decision, retransmits dropped attempts with capped backoff under a fixed
-  // wire_seq, and reports a fail-stopped peer as kRankDead instead of
-  // delivering into the void.
+  // Delivery through the (optionally faulty) wire, World::deliver: with
+  // injection off a local delivery is exactly endpoint(dest).deliver(); with
+  // injection on it crosses the World's fault::Link, which retries dropped
+  // attempts under one link seq and reports a fail-stopped peer as kRankDead
+  // instead of delivering into the void.
   ErrorCode wire_deliver(int dest, Envelope&& env);
 
   // p2p helpers used by the collective algorithms (private context). Both

@@ -48,8 +48,10 @@ void Endpoint::complete_recv_locked(const Request& req, Envelope& env) {
 
 void Endpoint::deliver(Envelope&& env) {
   std::lock_guard<std::mutex> lk(mu_);
-  if (env.faulty && !wire_seen_[env.wire_src].accept(env.wire_seq)) {
-    return;  // retransmit or injected duplicate of an accepted message
+  if (env.wire_src >= 0) {
+    net::SeqTracker& seen = wire_seen_[env.wire_src];
+    if (!seen.accept(env.wire_seq)) return;  // injected duplicate
+    wire_dedup_hw_ = std::max(wire_dedup_hw_, seen.above());
   }
   if (env.ts_inject != 0) {
     delivered_counter().add();
@@ -69,6 +71,11 @@ void Endpoint::deliver(Envelope&& env) {
   unexpected_.push_back(std::move(env));
   unexpected_hw_ = std::max(unexpected_hw_, std::uint64_t(unexpected_.size()));
   cv_.notify_all();  // wake blocking probes
+}
+
+std::size_t Endpoint::wire_dedup_high_water() {
+  std::lock_guard<std::mutex> lk(mu_);
+  return wire_dedup_hw_;
 }
 
 void Endpoint::post_recv(const Request& req) {

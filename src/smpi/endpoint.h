@@ -22,12 +22,12 @@ struct Envelope {
   std::uint32_t context = 0;
   std::vector<std::uint8_t> payload;
 
-  // Wire identity, set only when the envelope crossed the faulty wire
-  // (fault::enabled()): retransmits and injected duplicates reuse the
-  // sequence number of the first attempt, and the destination endpoint
-  // drops any (wire_src, wire_seq) it has already accepted.
-  bool faulty = false;
-  int wire_src = -1;  // world rank of the sender
+  // Link identity, set only when the envelope crossed the in-memory faulty
+  // link (fault/link.h, while fault::enabled()): wire_seq is the message's
+  // seq on the (wire_src, dst) pair, shared by an injected duplicate, and
+  // the destination endpoint drops any seq it has already accepted. Socket
+  // traffic never sets it: the fabric already releases each frame once.
+  int wire_src = -1;  // world rank of the sender; -1 = not over the link
   std::uint64_t wire_seq = 0;
 
   // Injection timestamp (trace epoch ns), stamped in isend only while prof
@@ -66,6 +66,9 @@ class Endpoint {
 
   // Counters for tests.
   std::uint64_t unexpected_high_water() const { return unexpected_hw_; }
+  // Largest sparse set any one sender's dedup tracker has held: bounded by
+  // the threads racing to send to this rank, not by the message count.
+  std::size_t wire_dedup_high_water();
 
  private:
   static bool matches(const RequestState& r, const Envelope& e) {
@@ -82,12 +85,11 @@ class Endpoint {
   std::deque<Request> posted_;
   std::deque<Envelope> unexpected_;
   std::uint64_t unexpected_hw_ = 0;
-  // Exactly-once filter for deliveries that crossed a wire (fault injection
-  // or the socket transport): one bounded SeqTracker per sending world rank.
-  // Memory is O(outstanding gaps) per sender, not O(messages) — both the
-  // thread-mode chaos channel counters and the socket pair_seq counters are
-  // (mostly) gapless, so the tracker collapses to a floor.
+  // Exactly-once filter for deliveries over the faulty link: one SeqTracker
+  // per sending world rank over that pair's gapless link seq, so each
+  // collapses to a floor.
   std::map<int, net::SeqTracker> wire_seen_;
+  std::size_t wire_dedup_hw_ = 0;
 };
 
 }  // namespace smpi

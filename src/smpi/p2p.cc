@@ -13,7 +13,7 @@ namespace smpi {
 
 ErrorCode Comm::wire_deliver(int dest, Envelope&& env) {
   // World::deliver picks the wire: direct endpoint call for co-located
-  // ranks (through the fault decision point when injection is armed),
+  // ranks (over the faulty link when injection is armed),
   // framed socket transmission for remote ones.
   return world_->deliver(world_rank(rank_), world_rank(dest), std::move(env));
 }

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -24,9 +23,9 @@ namespace {
 // agree across the job and sibling fabrics rendezvous on the same paths.
 std::atomic<int> g_job{0};
 
-// kSmpi subheader: src, dst, source, tag (i32), context (u32), pair seq and
-// injection timestamp (u64).
-constexpr std::size_t kSmpiSubheaderBytes = 4 * 4 + 4 + 2 * 8;
+// kSmpi subheader: src, dst, source, tag (i32), context (u32) and injection
+// timestamp (u64).
+constexpr std::size_t kSmpiSubheaderBytes = 4 * 4 + 4 + 8;
 
 // Session directory for loopback fabrics when HCMPI_SESSION is not set: one
 // mkdtemp per process, shared by all Worlds (the job counter disambiguates).
@@ -65,20 +64,15 @@ net::FabricOptions base_options(const net::ProcEnv& env, int job) {
 // this process.
 struct World::Net {
   bool launched = false;
-  int nranks = 0;
   int nprocs = 1;           // fabric mesh size
   int rpp = 1;              // ranks per process (launched)
   int local_lo = 0;
   int local_hi = 0;
   std::vector<std::unique_ptr<net::Fabric>> fabrics;
-  // Gapless per-(src,dst) world-rank counters: the end-to-end dedup
-  // identity kSmpi frames carry (Endpoint SeqTracker floor advances
-  // contiguously per sender).
-  std::unique_ptr<std::atomic<std::uint64_t>[]> pair_seq;
   std::atomic<bool> shut{false};
   bool remote_error = false;
 
-  Net(World& w, int n) : nranks(n) {
+  Net(World& w, int n) {
     const net::ProcEnv& env = net::proc_env();
     const int job = g_job.fetch_add(1, std::memory_order_relaxed);
     launched = env.launched;
@@ -109,8 +103,6 @@ struct World::Net {
         fabrics.push_back(std::make_unique<net::Fabric>(o, deliver));
       }
     }
-    pair_seq.reset(new std::atomic<std::uint64_t>[std::size_t(n) *
-                                                  std::size_t(n)]());
   }
 
   int proc_of(int rank) const { return launched ? rank / rpp : rank; }
@@ -123,7 +115,7 @@ struct World::Net {
   }
 };
 
-World::World(int nprocs, ThreadLevel level) : level_(level) {
+World::World(int nprocs, ThreadLevel level) : level_(level), link_(nprocs) {
   endpoints_.reserve(std::size_t(nprocs));
   for (int r = 0; r < nprocs; ++r) {
     endpoints_.push_back(std::make_unique<Endpoint>(r));
@@ -151,9 +143,9 @@ void World::net_ingest(net::Frame&& f) {
   net::ByteReader rd(f.payload);
   std::int32_t src_w, dst_w, source, tag;
   std::uint32_t context;
-  std::uint64_t pseq, ts;
+  std::uint64_t ts;
   if (!rd.i32(&src_w) || !rd.i32(&dst_w) || !rd.i32(&source) ||
-      !rd.i32(&tag) || !rd.u32(&context) || !rd.u64(&pseq) || !rd.u64(&ts)) {
+      !rd.i32(&tag) || !rd.u32(&context) || !rd.u64(&ts)) {
     return;  // torn subheader — the framing layer already validated length
   }
   if (dst_w < 0 || dst_w >= size()) return;
@@ -164,11 +156,6 @@ void World::net_ingest(net::Frame&& f) {
   f.payload.erase(f.payload.begin(),
                   f.payload.begin() + std::ptrdiff_t(rd.off));
   env.payload = std::move(f.payload);
-  // Wire identity for the endpoint's exactly-once filter: retransmits and
-  // injected duplicates below the reorder horizon reach this point too.
-  env.faulty = true;
-  env.wire_src = src_w;
-  env.wire_seq = pseq;
   env.ts_inject = ts;
   endpoint(dst_w).deliver(std::move(env));
 }
@@ -184,17 +171,12 @@ ErrorCode World::deliver(int src, int dst, Envelope&& env) {
     }
     net::Frame f;
     f.kind = net::FrameKind::kSmpi;
-    const std::uint64_t pseq =
-        net_->pair_seq[std::size_t(src) * std::size_t(net_->nranks) +
-                       std::size_t(dst)]
-            .fetch_add(1, std::memory_order_relaxed);
     f.payload.reserve(kSmpiSubheaderBytes + env.payload.size());
     net::put_i32(f.payload, src);
     net::put_i32(f.payload, dst);
     net::put_i32(f.payload, env.source);
     net::put_i32(f.payload, env.tag);
     net::put_u32(f.payload, env.context);
-    net::put_u64(f.payload, pseq);
     // Trace epochs differ across real processes; only loopback timestamps
     // are comparable end to end.
     net::put_u64(f.payload, net_->launched ? 0 : env.ts_inject);
@@ -214,42 +196,19 @@ ErrorCode World::deliver(int src, int dst, Envelope&& env) {
   }
 
   // Local (thread mode, or co-located ranks in socket mode): the direct
-  // endpoint call, through the hc-fault decision point when injection is
-  // armed.
+  // endpoint call, over the faulty link when injection is armed.
   Endpoint& ep = endpoint(dst);
   if (!fault::enabled()) {
     ep.deliver(std::move(env));
     return ErrorCode::kOk;
   }
-  if (fault::rank_dead(src) || fault::rank_dead(dst)) {
-    return ErrorCode::kRankDead;
-  }
-  fault::Decision d = fault::decide(src, dst);
-  env.faulty = true;
   env.wire_src = src;
-  env.wire_seq = d.seq;  // fixed across retransmits: the dedup identity
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    if (d.delay_us != 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(d.delay_us));
-    }
-    if (!d.drop) {
-      if (d.dup) {
-        Envelope copy = env;
-        ep.deliver(std::move(copy));
-      }
-      ep.deliver(std::move(env));
-      return ErrorCode::kOk;
-    }
-    // The wire ate this attempt. Delivery is synchronous here, so the lost
-    // ack surfaces immediately as this failed call: back off (capped
-    // exponential) and retransmit under the same wire_seq; the receiver
-    // dedups if an earlier copy did land.
-    fault::retry_backoff(attempt);
-    if (fault::rank_dead(src) || fault::rank_dead(dst)) {
-      return ErrorCode::kRankDead;
-    }
-    d = fault::decide(src, dst);
-  }
+  const bool sent = link_.send(src, dst, std::move(env),
+                               [&ep](std::uint64_t seq, Envelope&& e) {
+                                 e.wire_seq = seq;
+                                 ep.deliver(std::move(e));
+                               });
+  return sent ? ErrorCode::kOk : ErrorCode::kRankDead;
 }
 
 bool World::net_shutdown(bool local_error) {

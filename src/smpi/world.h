@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "fault/link.h"
 #include "net/frame.h"
 #include "smpi/endpoint.h"
 #include "smpi/types.h"
@@ -60,8 +61,8 @@ class World {
   }
 
   // Wire-level delivery from world rank src to world rank dst. Local
-  // destinations take the direct endpoint path (through the hc-fault
-  // decision point when injection is armed); remote destinations are framed
+  // destinations take the direct endpoint path (over the faulty link when
+  // injection is armed); remote destinations are framed
   // onto the socket fabric. Reports kRankDead / kConnRefused for
   // unreachable peers instead of delivering into the void.
   ErrorCode deliver(int src, int dst, Envelope&& env);
@@ -131,6 +132,8 @@ class World {
   std::mutex stash_mu_;
   std::unordered_map<std::uint32_t, std::shared_ptr<void>> stash_;
   std::uint32_t stash_counter_ = 1;
+  // Carries local deliveries while fault injection is armed.
+  fault::Link link_;
   // Declared last: destroyed first, so fabric IO threads can still deliver
   // into live endpoints while they wind down.
   std::unique_ptr<Net> net_;

@@ -1,7 +1,9 @@
 // hc-fault: deterministic injection schedules, retransmit/dedup recovery on
 // both transports, request deadlines, the stall watchdog and the deadlined
 // finalize barrier.
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -149,6 +151,40 @@ TEST(SmpiFault, DropsAndDupsRecoveredExactlyOnce) {
   EXPECT_GT(counter("retry.count"), retries0);
 }
 
+TEST(SmpiFault, DedupStateStaysBoundedAcrossWorlds) {
+  // The receiver's dedup tracker must collapse to a floor: the link numbers
+  // each (src, dst) pair's messages gaplessly, per World. Two Worlds back to
+  // back in one process, thousands of messages each under drops and dups:
+  // with one sending thread the tracker never holds more than one seq above
+  // its floor, in the second World as in the first.
+  FaultGuard guard;
+  fault::Config cfg;
+  cfg.seed = 5;
+  cfg.drop_p = 0.05;
+  cfg.dup_p = 0.05;
+  fault::configure(cfg);
+  std::uint64_t dups0 = counter("fault.injected.dup");
+  constexpr int kMsgs = 4000;
+  for (int world = 0; world < 2; ++world) {
+    std::size_t high_water = ~std::size_t(0);
+    smpi::World::run(2, [&](smpi::Comm& comm) {
+      if (comm.rank() == 0) {
+        for (int i = 0; i < kMsgs; ++i) comm.send(&i, sizeof i, 1, 5);
+        return;
+      }
+      for (int i = 0; i < kMsgs; ++i) {
+        int v = -1;
+        comm.recv(&v, sizeof v, 0, 5);
+        ASSERT_EQ(v, i);
+      }
+      EXPECT_FALSE(comm.iprobe(smpi::kAnySource, smpi::kAnyTag));
+      high_water = comm.world().endpoint(1).wire_dedup_high_water();
+    });
+    EXPECT_LE(high_water, 1u) << "world " << world;
+  }
+  EXPECT_GT(counter("fault.injected.dup"), dups0);
+}
+
 TEST(SmpiFault, SameSeedSameWorkloadSameSchedule) {
   FaultGuard guard;
   auto run_once = [] {
@@ -260,13 +296,14 @@ TEST(DddfFault, MpiTransportChainSurvivesDrops) {
   EXPECT_EQ(final_value.load(), depth);
 }
 
-TEST(DddfFault, AmTransportAckRetransmitDelivers) {
+TEST(DddfFault, AmTransportLinkRetryDelivers) {
   FaultGuard guard;
   fault::Config cfg;
   cfg.seed = 3;
-  cfg.drop_p = 0.3;  // heavy loss: every protocol message leans on the RTO
+  cfg.drop_p = 0.3;  // heavy loss: protocol messages lean on the link retry
   fault::configure(cfg);
   std::uint64_t drops0 = counter("fault.injected.drop");
+  std::uint64_t retries0 = counter("retry.count");
   constexpr int kRanks = 3, kDepth = 10;
   std::atomic<int> final_value{-1};
   std::atomic<std::uint64_t> transfers{0};
@@ -306,6 +343,55 @@ TEST(DddfFault, AmTransportAckRetransmitDelivers) {
   // though the wire dropped and retransmitted.
   EXPECT_EQ(transfers.load(), std::uint64_t(kDepth - 1));
   EXPECT_GT(counter("fault.injected.drop"), drops0);
+  EXPECT_GT(counter("retry.count"), retries0);
+}
+
+TEST(DddfFault, AmDedupStateStaysBoundedAcrossBuses) {
+  // The AM receiver's dedup state collapses to a floor too: two buses back
+  // to back, thousands of DATA messages each from one sending thread under
+  // the DDDF tests' heavy loss plus duplicates. Every payload is dispatched
+  // exactly once and the tracker never holds more than one seq above its
+  // floor.
+  FaultGuard guard;
+  fault::Config cfg;
+  cfg.seed = 3;
+  cfg.drop_p = 0.3;
+  cfg.dup_p = 0.1;
+  fault::configure(cfg);
+  constexpr int kMsgs = 4000;
+  for (int round = 0; round < 2; ++round) {
+    auto bus = std::make_shared<dddf::AmBus>(2);
+    dddf::AmTransport sender(bus, 0);
+    dddf::AmTransport receiver(bus, 1);
+    std::vector<int> seen(kMsgs, 0);  // receiver's progress thread only
+    std::atomic<int> dispatched{0};
+    sender.bind([](dddf::Guid, int) {}, [](dddf::Guid, dddf::Bytes) {});
+    receiver.bind([](dddf::Guid, int) {},
+                  [&](dddf::Guid g, dddf::Bytes) {
+                    ++seen[std::size_t(g)];
+                    dispatched.fetch_add(1, std::memory_order_release);
+                  });
+    for (int i = 0; i < kMsgs; ++i) {
+      sender.send_data(dddf::Guid(i), 1, dddf::Bytes(8, std::uint8_t(i)));
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (dispatched.load(std::memory_order_acquire) < kMsgs &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // A closure posted now runs after everything already in the receiver's
+    // mailbox, a late duplicate included; once it has run the counts are
+    // final.
+    std::atomic<bool> drained{false};
+    receiver.post([&] { drained.store(true, std::memory_order_release); });
+    while (!drained.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(dispatched.load(), kMsgs) << "round " << round;
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), kMsgs);
+    EXPECT_LE(receiver.dedup_high_water(), 1u) << "round " << round;
+  }
 }
 
 // ---------------------------------------------------------------------------

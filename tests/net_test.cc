@@ -190,17 +190,19 @@ TEST(NetReorderer, GapBuffersAndReleasesInOrder) {
   EXPECT_EQ(ro.next_seq(), 4u);
 }
 
-TEST(NetReorderer, DuplicateBelowHorizonIsReleasedUp) {
-  // A retransmit that raced its ack must reach the consumer's dedup filter,
-  // not vanish here — otherwise end-to-end dedup is dead code.
+TEST(NetReorderer, DuplicateBelowHorizonIsDropped) {
+  // A retransmit that raced its ack was already released once: the
+  // connection is where exactly-once is decided, so it goes no further.
+  // push() still accepts it, so the caller acks it again.
   net::Reorderer ro;
   std::vector<Frame> rel;
   EXPECT_TRUE(ro.push(seq_frame(0), &rel));
+  EXPECT_TRUE(ro.push(seq_frame(1), &rel));
   rel.clear();
   EXPECT_TRUE(ro.push(seq_frame(0), &rel));
-  ASSERT_EQ(rel.size(), 1u);
-  EXPECT_EQ(rel[0].seq, 0u);
-  EXPECT_EQ(ro.next_seq(), 1u);  // horizon unchanged
+  EXPECT_TRUE(ro.push(seq_frame(1), &rel));
+  EXPECT_TRUE(rel.empty());
+  EXPECT_EQ(ro.next_seq(), 2u);  // horizon unchanged
 }
 
 TEST(NetReorderer, DuplicateOfBufferedDroppedAndCapRejects) {
@@ -231,10 +233,10 @@ TEST(NetSeqTracker, ExactlyOnceUnderReordering) {
 
 // N Fabrics in one process over a private session directory, each with a
 // per-proc sink collecting delivered frames. Timers are shortened so death
-// detection and teardown fit a unit test. The delivered stream may contain
-// below-horizon duplicates by design (a spurious RTO retransmit under CI
-// load is enough), so assertions run over fresh() — the exactly-once view a
-// real consumer's SeqTracker would produce.
+// detection and teardown fit a unit test. Assertions run over the raw
+// delivered stream: the fabric itself must release every connection seq
+// exactly once, in order, whatever the wire did (a spurious RTO retransmit
+// under CI load, an injected duplicate, a reconnect).
 struct Mesh {
   struct Sink {
     std::mutex mu;
@@ -298,22 +300,16 @@ struct Mesh {
     [[maybe_unused]] int rc = std::system(cmd.c_str());
   }
 
-  // Exactly-once view of proc p's delivered stream: per-source connection
-  // seqs filtered through a SeqTracker, exactly like a real consumer.
-  std::vector<Frame> fresh(int p) {
+  // Proc p's raw delivered stream so far.
+  std::vector<Frame> frames(int p) {
     std::lock_guard<std::mutex> lk(sinks[std::size_t(p)]->mu);
-    std::map<std::uint32_t, net::SeqTracker> seen;
-    std::vector<Frame> out;
-    for (const Frame& f : sinks[std::size_t(p)]->frames) {
-      if (seen[f.src].accept(f.seq)) out.push_back(f);
-    }
-    return out;
+    return sinks[std::size_t(p)]->frames;
   }
 
-  bool wait_fresh(int p, std::size_t n, int ms = 10000) {
+  bool wait_frames(int p, std::size_t n, int ms = 10000) {
     auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-    while (fresh(p).size() < n) {
+    while (frames(p).size() < n) {
       if (std::chrono::steady_clock::now() > deadline) return false;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -336,6 +332,16 @@ std::uint32_t tag_of(const Frame& f) {
   return v;
 }
 
+// One sender's raw stream of n frames tagged 0..n-1 arrived exactly once
+// and in order: connection seq i carries tag i, nothing repeated or missing.
+void expect_exactly_once_in_order(const std::vector<Frame>& got, int n) {
+  ASSERT_EQ(got.size(), std::size_t(n));
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(got[std::size_t(i)].seq, std::uint64_t(i));
+    EXPECT_EQ(tag_of(got[std::size_t(i)]), std::uint32_t(i));
+  }
+}
+
 TEST(NetFabric, TwoProcDelivery) {
   Mesh m(2);
   const int kN = 50;
@@ -343,13 +349,11 @@ TEST(NetFabric, TwoProcDelivery) {
     Frame f = data_frame(std::uint32_t(i));
     ASSERT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
   }
-  ASSERT_TRUE(m.wait_fresh(1, kN));
-  std::vector<Frame> got = m.fresh(1);
-  ASSERT_EQ(got.size(), std::size_t(kN));
-  for (int i = 0; i < kN; ++i) {
-    EXPECT_EQ(tag_of(got[std::size_t(i)]), std::uint32_t(i));
-    EXPECT_EQ(got[std::size_t(i)].src, 0u);
-  }
+  ASSERT_TRUE(m.wait_frames(1, kN));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // late dups
+  std::vector<Frame> got = m.frames(1);
+  expect_exactly_once_in_order(got, kN);
+  for (const Frame& f : got) EXPECT_EQ(f.src, 0u);
 }
 
 TEST(NetFabric, FourProcAllToAll) {
@@ -371,25 +375,30 @@ TEST(NetFabric, FourProcAllToAll) {
     }
   }
   for (int q = 0; q < 4; ++q) {
-    ASSERT_TRUE(m.wait_fresh(q, 3 * kPer)) << "proc " << q;
-    // Per-source in-order delivery: each sender's tags ascend.
-    std::map<std::uint32_t, std::uint32_t> last;
-    for (const Frame& f : m.fresh(q)) {
-      std::uint32_t tag = tag_of(f);
-      auto it = last.find(f.src);
-      if (it != last.end()) {
-        EXPECT_LT(it->second, tag);
+    ASSERT_TRUE(m.wait_frames(q, 3 * kPer)) << "proc " << q;
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // late dups
+  for (int q = 0; q < 4; ++q) {
+    // Per-source exactly-once, in-order delivery: sender p's frames carry
+    // connection seqs 0..kPer-1 and tags p*1000 + 0..kPer-1, in that order.
+    std::map<std::uint32_t, std::vector<Frame>> by_src;
+    for (Frame& f : m.frames(q)) by_src[f.src].push_back(std::move(f));
+    ASSERT_EQ(by_src.size(), 3u) << "proc " << q;
+    for (auto& [src, got] : by_src) {
+      ASSERT_EQ(got.size(), std::size_t(kPer)) << "proc " << q;
+      for (int i = 0; i < kPer; ++i) {
+        EXPECT_EQ(got[std::size_t(i)].seq, std::uint64_t(i));
+        EXPECT_EQ(tag_of(got[std::size_t(i)]), src * 1000 + std::uint32_t(i));
       }
-      last[f.src] = tag;
     }
   }
 }
 
 TEST(NetFabric, ReconnectRepairsStreamExactlyOnce) {
   // Connections are dropped mid-stream; the supervisor reconnects and the
-  // retransmit queue repairs the tail. The consumer-side SeqTracker must
-  // see every connection seq exactly once, in order — the dedup-under-
-  // reordering property the end-to-end layers rely on.
+  // retransmit queue repairs the tail. The raw delivered stream must carry
+  // every connection seq exactly once, in order: the receiver's Reorderer
+  // survives the reconnect and drops the resent frames it already released.
   Mesh m(2);
   const int kN = 200;
   std::jthread chaos([&m] {
@@ -404,21 +413,16 @@ TEST(NetFabric, ReconnectRepairsStreamExactlyOnce) {
     ASSERT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
   }
   chaos.join();
-  ASSERT_TRUE(m.wait_fresh(1, kN));
+  ASSERT_TRUE(m.wait_frames(1, kN));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  std::vector<Frame> got = m.fresh(1);
-  ASSERT_EQ(got.size(), std::size_t(kN));
-  for (int i = 0; i < kN; ++i) {
-    EXPECT_EQ(got[std::size_t(i)].seq, std::uint64_t(i));
-    EXPECT_EQ(tag_of(got[std::size_t(i)]), std::uint32_t(i));
-  }
+  expect_exactly_once_in_order(m.frames(1), kN);
 }
 
 TEST(NetFabric, KillSurfacesPeerDeath) {
   Mesh m(2);
   Frame f = data_frame(1);
   ASSERT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
-  ASSERT_TRUE(m.wait_fresh(1, 1));
+  ASSERT_TRUE(m.wait_frames(1, 1));
 
   m.fabrics[1]->kill();  // SIGKILL stand-in: no goodbye, sockets just close
   auto deadline =
@@ -476,10 +480,10 @@ TEST(NetFabric, BackpressureReportsWouldBlock) {
   }
   EXPECT_TRUE(would_block);
   m.fabrics[0]->pause_tx(false);
-  ASSERT_TRUE(m.wait_fresh(1, std::size_t(accepted)));
+  ASSERT_TRUE(m.wait_frames(1, std::size_t(accepted)));
   Frame f = data_frame(99);
   EXPECT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
-  ASSERT_TRUE(m.wait_fresh(1, std::size_t(accepted) + 1));
+  ASSERT_TRUE(m.wait_frames(1, std::size_t(accepted) + 1));
 }
 
 TEST(NetFabric, UnknownKindIsAckedAndDropped) {
@@ -498,12 +502,12 @@ TEST(NetFabric, UnknownKindIsAckedAndDropped) {
     ASSERT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
   }
   ASSERT_TRUE(spin_until([&m] {
-    for (const Frame& f : m.fresh(1)) {
+    for (const Frame& f : m.frames(1)) {
       if (tag_of(f) == 11) return true;
     }
     return false;
   }));
-  std::vector<Frame> got = m.fresh(1);
+  std::vector<Frame> got = m.frames(1);
   ASSERT_EQ(got.size(), 2u);
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].kind, FrameKind::kSmpi);
@@ -521,13 +525,13 @@ TEST(NetFabric, ShutdownFlushesQueuedFrames) {
   }
   // Shutdown's flush phase must not discard anything still in flight.
   m.shutdown_all();
-  EXPECT_EQ(m.fresh(1).size(), std::size_t(kN));
+  EXPECT_EQ(m.frames(1).size(), std::size_t(kN));
 }
 
 TEST(NetFabric, ChaosDropDupDelayExactlyOnce) {
   // Seeded wire chaos at the socket transmit point: drops are repaired by
-  // RTO retransmission, duplicates by consumer dedup, delays by the
-  // reorderer. The exactly-once view must still be 0..N-1 in order.
+  // RTO retransmission, delays by the reorderer, and duplicates are dropped
+  // there too. The raw delivered stream must still be 0..N-1 in order.
   fault::reset();
   fault::Config cfg;
   cfg.seed = 1;
@@ -543,14 +547,9 @@ TEST(NetFabric, ChaosDropDupDelayExactlyOnce) {
       Frame f = data_frame(std::uint32_t(i));
       ASSERT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
     }
-    ASSERT_TRUE(m.wait_fresh(1, kN, 20000));
+    ASSERT_TRUE(m.wait_frames(1, kN, 20000));
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    std::vector<Frame> got = m.fresh(1);
-    ASSERT_EQ(got.size(), std::size_t(kN));
-    for (int i = 0; i < kN; ++i) {
-      EXPECT_EQ(got[std::size_t(i)].seq, std::uint64_t(i));
-      EXPECT_EQ(tag_of(got[std::size_t(i)]), std::uint32_t(i));
-    }
+    expect_exactly_once_in_order(m.frames(1), kN);
   }
   fault::reset();
 }
@@ -585,12 +584,8 @@ TEST(NetFabric, BurstIsAckedCumulatively) {
     ASSERT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
   }
   m.fabrics[0]->pause_tx(false);
-  ASSERT_TRUE(m.wait_fresh(1, kN));
-  std::vector<Frame> got = m.fresh(1);
-  ASSERT_EQ(got.size(), std::size_t(kN));
-  for (int i = 0; i < kN; ++i) {
-    EXPECT_EQ(tag_of(got[std::size_t(i)]), std::uint32_t(i));
-  }
+  ASSERT_TRUE(m.wait_frames(1, kN));
+  expect_exactly_once_in_order(m.frames(1), kN);
   // Shutdown's flush phase waits for every frame to be acked; if the
   // cumulative acks missed any, it would run into its 2 s deadline.
   const auto t0 = std::chrono::steady_clock::now();
@@ -708,13 +703,13 @@ TEST(NetFabric, AcksSelectiveAboveGapCumulativeBehindIt) {
   ASSERT_TRUE(peer.next(FrameKind::kAck, &ack, 5000));
   EXPECT_EQ(ack.flags & net::kFlagCumulative, 0);
   EXPECT_EQ(ack.seq, 1u);
-  EXPECT_TRUE(m.fresh(1).empty());  // held behind the gap
+  EXPECT_TRUE(m.frames(1).empty());  // held behind the gap
   peer.send(data(0));
   ASSERT_TRUE(peer.next(FrameKind::kAck, &ack, 5000));
   EXPECT_EQ(ack.flags & net::kFlagCumulative, net::kFlagCumulative);
   EXPECT_EQ(ack.seq, 2u);
-  ASSERT_TRUE(m.wait_fresh(1, 2));
-  std::vector<Frame> got = m.fresh(1);
+  ASSERT_TRUE(m.wait_frames(1, 2));
+  std::vector<Frame> got = m.frames(1);
   EXPECT_EQ(got[0].seq, 0u);
   EXPECT_EQ(got[1].seq, 1u);
   m.fabrics[1]->kill();
