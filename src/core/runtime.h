@@ -35,7 +35,6 @@ struct RuntimeConfig {
   // Optional HPT depth/fanout; depth 0 = single root place (paper default).
   int place_depth = 0;
   int place_fanout = 2;
-  std::uint64_t seed = 0x9E3779B97F4A7C15ull;
   // Steal-batch policy for every worker; kDefault defers to the process-wide
   // default (the --steal= flag / set_default_steal_policy), normally adaptive.
   StealPolicy steal = StealPolicy::kDefault;

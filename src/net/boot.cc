@@ -27,31 +27,30 @@ long env_long(const char* name, long fallback) {
   return end == e ? fallback : v;
 }
 
+template <typename T>
+void env_num(const char* name, T* v) {
+  *v = T(env_long(name, long(*v)));
+}
+
 ProcEnv read_proc_env() {
   ProcEnv p;
+  FabricOptions& o = p.fabric;
   const char* proc = std::getenv("HCMPI_PROC");
   if (proc != nullptr && *proc != '\0') {
     p.launched = true;
-    p.proc = int(env_long("HCMPI_PROC", 0));
-    p.nprocs = int(env_long("HCMPI_NPROCS", 1));
-    if (p.nprocs < 1) p.nprocs = 1;
-    if (p.proc < 0 || p.proc >= p.nprocs) p.proc = 0;
+    o.proc = int(env_long("HCMPI_PROC", 0));
+    o.nprocs = int(env_long("HCMPI_NPROCS", 1));
+    if (o.nprocs < 1) o.nprocs = 1;
+    if (o.proc < 0 || o.proc >= o.nprocs) o.proc = 0;
   }
-  p.ranks_per_proc = int(env_long("HCMPI_RANKS_PER_PROC", 0));
   const char* sess = std::getenv("HCMPI_SESSION");
-  if (sess != nullptr) p.session = sess;
-  p.tcp_base = int(env_long("HCMPI_TCP_BASE", 0));
-  p.heartbeat_ms =
-      std::uint32_t(env_long("HCMPI_NET_HEARTBEAT_MS", long(p.heartbeat_ms)));
-  p.death_timeout_ms = std::uint32_t(
-      env_long("HCMPI_NET_DEATH_TIMEOUT_MS", long(p.death_timeout_ms)));
-  p.connect_window_ms = std::uint32_t(
-      env_long("HCMPI_NET_CONNECT_MS", long(p.connect_window_ms)));
-  p.rto_ms = std::uint32_t(env_long("HCMPI_NET_RTO_MS", long(p.rto_ms)));
-  p.sendq_cap =
-      std::size_t(env_long("HCMPI_NET_SENDQ_CAP", long(p.sendq_cap)));
-  p.shutdown_timeout_ms = std::uint32_t(
-      env_long("HCMPI_NET_SHUTDOWN_MS", long(p.shutdown_timeout_ms)));
+  if (sess != nullptr) o.session = sess;
+  env_num("HCMPI_NET_HEARTBEAT_MS", &o.heartbeat_ms);
+  env_num("HCMPI_NET_DEATH_TIMEOUT_MS", &o.death_timeout_ms);
+  env_num("HCMPI_NET_CONNECT_MS", &o.connect_window_ms);
+  env_num("HCMPI_NET_RTO_MS", &o.rto_ms);
+  env_num("HCMPI_NET_SENDQ_CAP", &o.sendq_cap);
+  env_num("HCMPI_NET_SHUTDOWN_MS", &o.shutdown_timeout_ms);
   return p;
 }
 

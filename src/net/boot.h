@@ -1,23 +1,23 @@
 // hc-net process bootstrap: which transport this process uses and, when it
 // was started by hcmpi_launch, where it sits in the multi-process job.
 //
-// Three configurations fall out of (mode, launch env):
-//   * thread            — the historical default: every rank is a thread in
-//                         this process, delivery is a direct endpoint call.
-//   * socket, launched  — hcmpi_launch set HCMPI_PROC/HCMPI_NPROCS: this
-//                         process hosts a contiguous block of ranks and
-//                         talks to its siblings over one Fabric.
-//   * socket, loopback  — --transport=socket (or HCMPI_TRANSPORT=socket)
-//                         without the launch env: every rank still lives in
-//                         this process but gets its OWN Fabric, so all
-//                         cross-rank traffic crosses real sockets. This is
-//                         how tests, TSan and the bench harness exercise the
-//                         wire without fork/exec.
+// In thread mode (the historical default) every rank is a thread in this
+// process and delivery is a direct endpoint call. In socket mode
+// (--transport=socket or HCMPI_TRANSPORT=socket) a World's ranks are laid
+// out over a mesh of procs, ceil(ranks / procs) consecutive ranks per proc,
+// and every proc is one net::Fabric. The only thing the launch env decides
+// is which procs this process hosts:
+//   * launched (hcmpi_launch set HCMPI_PROC/HCMPI_NPROCS): the mesh is the
+//     job's processes and this process hosts its own proc only;
+//   * loopback (no launch env): the mesh has one proc per rank and this
+//     process hosts all of them, so every cross-rank message still crosses
+//     a real socket. This is how tests, TSan and the bench harness exercise
+//     the wire without fork/exec.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
+
+#include "net/fabric.h"
 
 namespace support {
 class Flags;
@@ -36,23 +36,16 @@ bool parse_mode(const std::string& s, Mode* out);
 // Applies --transport=thread|socket (absent flag leaves the mode alone).
 void configure(const support::Flags& flags);
 
-// The launch-time environment, parsed once. `launched` is true only under
-// hcmpi_launch (HCMPI_PROC present); the tunables below it apply to every
-// fabric either way and come from HCMPI_NET_* variables.
+// The launch-time environment, parsed once.
 struct ProcEnv {
+  // True only under hcmpi_launch (HCMPI_PROC present).
   bool launched = false;
-  int proc = 0;    // this process's id in [0, nprocs)
-  int nprocs = 1;  // processes in the job
-  int ranks_per_proc = 0;  // 0 = derive from world size at World creation
-  std::string session;     // rendezvous directory for UDS paths
-  int tcp_base = 0;        // nonzero: TCP on 127.0.0.1 instead of UDS
-
-  std::uint32_t heartbeat_ms = 50;
-  std::uint32_t death_timeout_ms = 3000;
-  std::uint32_t connect_window_ms = 10000;
-  std::uint32_t rto_ms = 40;
-  std::size_t sendq_cap = 1024;
-  std::uint32_t shutdown_timeout_ms = 5000;
+  // The template every World's fabrics start from: session from
+  // HCMPI_SESSION (empty = a per-process temporary directory), proc and
+  // nprocs from HCMPI_PROC/HCMPI_NPROCS when launched, and the timers and
+  // queue cap from HCMPI_NET_* variables. job and the rank block are filled
+  // in per World.
+  FabricOptions fabric;
 };
 
 const ProcEnv& proc_env();

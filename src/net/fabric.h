@@ -1,8 +1,8 @@
 // hc-net Fabric: one process's view of the socket mesh (DESIGN.md §9).
 //
-// A Fabric owns one duplex stream connection per peer process (Unix-domain
-// by default, TCP loopback when tcp_base is set) and a single poll()-driven
-// IO thread that does everything: connect/accept supervision with
+// A Fabric owns one duplex Unix-domain stream connection per peer process
+// (socket files in a session directory) and a single poll()-driven IO
+// thread that does everything: connect/accept supervision with
 // capped-backoff reconnect, framing, per-connection sequencing + acks + RTO
 // retransmission, in-order release through a Reorderer, heartbeats and
 // silence-based peer-death detection, deferred (never sleeping)
@@ -55,7 +55,6 @@ struct FabricOptions {
   int job = 0;          // per-process instance counter (path uniqueness)
   int proc = 0;
   int nprocs = 1;
-  int tcp_base = 0;  // nonzero: TCP on 127.0.0.1, port = base + job*nprocs+p
 
   std::uint32_t heartbeat_ms = 50;
   std::uint32_t death_timeout_ms = 3000;
@@ -179,7 +178,6 @@ class Fabric {
   void wake();
   bool initiator(int p) const { return opts_.proc < p; }
   std::string uds_path(int p) const;
-  int tcp_port(int p) const;
 
   void maintain(Peer& p, std::chrono::steady_clock::time_point now);
   void try_connect(Peer& p, std::chrono::steady_clock::time_point now);

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -17,105 +18,127 @@ namespace smpi {
 
 namespace {
 
-// Per-process World instance counter: distinguishes the UDS paths (and TCP
-// ports) of Worlds created back-to-back in one process. Under hcmpi_launch
-// every process creates its Worlds in the same order (SPMD), so the counters
-// agree across the job and sibling fabrics rendezvous on the same paths.
+// Per-process World instance counter: distinguishes the UDS paths of Worlds
+// created back-to-back in one process. Under hcmpi_launch every process
+// creates its Worlds in the same order (SPMD), so the counters agree across
+// the job and sibling fabrics rendezvous on the same paths.
 std::atomic<int> g_job{0};
 
-// kSmpi subheader: src, dst, source, tag (i32), context (u32) and injection
-// timestamp (u64).
-constexpr std::size_t kSmpiSubheaderBytes = 4 * 4 + 4 + 8;
-
 // Session directory for loopback fabrics when HCMPI_SESSION is not set: one
-// mkdtemp per process, shared by all Worlds (the job counter disambiguates).
-const std::string& default_session() {
-  static const std::string s = [] {
+// mkdtemp per process, shared by all Worlds (the job counter disambiguates),
+// and removed at exit if it is empty again — every Fabric unlinks its socket
+// file when it stops. rmdir only, so it can never remove anything else.
+struct SessionDir {
+  std::string path = "/tmp";
+  bool created = false;
+
+  SessionDir() {
     const char* t = std::getenv("TMPDIR");
     std::string d = (t != nullptr && *t != '\0') ? t : "/tmp";
     d += "/hcmpi.XXXXXX";
     std::vector<char> buf(d.begin(), d.end());
     buf.push_back('\0');
-    if (::mkdtemp(buf.data()) == nullptr) return std::string("/tmp");
-    return std::string(buf.data());
-  }();
-  return s;
-}
+    if (::mkdtemp(buf.data()) == nullptr) return;
+    path = buf.data();
+    created = true;
+  }
+  ~SessionDir() {
+    if (created) ::rmdir(path.c_str());
+  }
+  SessionDir(const SessionDir&) = delete;
+  SessionDir& operator=(const SessionDir&) = delete;
+};
 
-net::FabricOptions base_options(const net::ProcEnv& env, int job) {
-  net::FabricOptions o;
-  o.session = env.session.empty() ? default_session() : env.session;
-  o.job = job;
-  o.tcp_base = env.tcp_base;
-  o.heartbeat_ms = env.heartbeat_ms;
-  o.death_timeout_ms = env.death_timeout_ms;
-  o.connect_window_ms = env.connect_window_ms;
-  o.rto_ms = env.rto_ms;
-  o.sendq_cap = env.sendq_cap;
-  o.shutdown_timeout_ms = env.shutdown_timeout_ms;
-  return o;
+const std::string& default_session() {
+  static const SessionDir dir;
+  return dir.path;
 }
 
 }  // namespace
 
-// The socket side of a World. Launched mode: one Fabric spanning all job
-// processes (including rank-less ones — goodbye/error propagation must reach
-// them too). Loopback mode: one Fabric per rank, proc id == rank id, all in
-// this process.
+void encode_smpi(net::Bytes& out, int dst, const Envelope& env,
+                 std::uint64_t ts_inject) {
+  out.reserve(out.size() + kSmpiSubheaderBytes + env.payload.size());
+  net::put_i32(out, dst);
+  net::put_i32(out, env.source);
+  net::put_i32(out, env.tag);
+  net::put_u32(out, env.context);
+  net::put_u64(out, ts_inject);
+  out.insert(out.end(), env.payload.begin(), env.payload.end());
+}
+
+bool decode_smpi(net::Bytes&& payload, int world_size, int* dst,
+                 Envelope* env) {
+  net::ByteReader rd(payload);
+  std::int32_t dst_w = 0, source = 0, tag = 0;
+  std::uint32_t context = 0;
+  std::uint64_t ts = 0;
+  if (!rd.i32(&dst_w) || !rd.i32(&source) || !rd.i32(&tag) ||
+      !rd.u32(&context) || !rd.u64(&ts)) {
+    return false;
+  }
+  if (dst_w < 0 || dst_w >= world_size || source < 0 ||
+      source >= world_size) {
+    return false;
+  }
+  *dst = dst_w;
+  env->source = source;
+  env->tag = tag;
+  env->context = context;
+  env->ts_inject = ts;
+  payload.erase(payload.begin(), payload.begin() + std::ptrdiff_t(rd.off));
+  env->payload = std::move(payload);
+  return true;
+}
+
+// The socket side of a World: the fabrics of the hosted procs [p_lo, p_hi)
+// of an nprocs mesh with rpp ranks per proc (see world.h). A hosted proc
+// with no ranks (more procs than ranks) still runs its fabric: goodbye and
+// error propagation must reach it too.
 struct World::Net {
-  bool launched = false;
-  int nprocs = 1;           // fabric mesh size
-  int rpp = 1;              // ranks per process (launched)
-  int local_lo = 0;
-  int local_hi = 0;
+  int rpp = 1;
+  int p_lo = 0;
+  int p_hi = 0;
+  bool all_hosted = false;  // the whole mesh lives in this process
   std::vector<std::unique_ptr<net::Fabric>> fabrics;
   std::atomic<bool> shut{false};
   bool remote_error = false;
 
   Net(World& w, int n) {
     const net::ProcEnv& env = net::proc_env();
-    const int job = g_job.fetch_add(1, std::memory_order_relaxed);
-    launched = env.launched;
-    auto deliver = [&w](net::Frame&& f) { w.net_ingest(std::move(f)); };
-    if (launched) {
-      nprocs = env.nprocs;
-      rpp = std::max(env.ranks_per_proc, (n + nprocs - 1) / nprocs);
-      local_lo = std::min(n, env.proc * rpp);
-      local_hi = std::min(n, local_lo + rpp);
-      net::FabricOptions o = base_options(env, job);
-      o.proc = env.proc;
-      o.nprocs = nprocs;
-      o.rank_base = local_lo;
-      o.rank_count = local_hi - local_lo;
-      fabrics.push_back(std::make_unique<net::Fabric>(o, deliver));
+    net::FabricOptions o = env.fabric;
+    if (o.session.empty()) o.session = default_session();
+    o.job = g_job.fetch_add(1, std::memory_order_relaxed);
+    if (env.launched) {
+      p_lo = o.proc;
+      p_hi = o.proc + 1;
     } else {
-      nprocs = n;
-      rpp = 1;
-      local_lo = 0;
-      local_hi = n;
-      fabrics.reserve(std::size_t(n));
-      for (int r = 0; r < n; ++r) {
-        net::FabricOptions o = base_options(env, job);
-        o.proc = r;
-        o.nprocs = n;
-        o.rank_base = r;
-        o.rank_count = 1;
-        fabrics.push_back(std::make_unique<net::Fabric>(o, deliver));
-      }
+      o.nprocs = n;
+      p_lo = 0;
+      p_hi = n;
+    }
+    rpp = (n + o.nprocs - 1) / o.nprocs;
+    all_hosted = p_lo == 0 && p_hi == o.nprocs;
+    auto deliver = [&w](net::Frame&& f) { w.net_ingest(std::move(f)); };
+    fabrics.reserve(std::size_t(p_hi - p_lo));
+    for (int p = p_lo; p < p_hi; ++p) {
+      o.proc = p;
+      o.rank_base = first_rank(p, n);
+      o.rank_count = first_rank(p + 1, n) - o.rank_base;
+      fabrics.push_back(std::make_unique<net::Fabric>(o, deliver));
     }
   }
 
-  int proc_of(int rank) const { return launched ? rank / rpp : rank; }
+  int first_rank(int proc, int n) const { return std::min(n, proc * rpp); }
+  int proc_of(int rank) const { return rank / rpp; }
   net::Fabric& fabric_for(int src_rank) {
-    return launched ? *fabrics[0] : *fabrics[std::size_t(src_rank)];
+    return *fabrics[std::size_t(proc_of(src_rank) - p_lo)];
   }
-  // Is (src -> dst) a same-process delivery (shared-memory fast path)?
-  bool local(int src, int dst) const {
-    return launched ? (dst >= local_lo && dst < local_hi) : dst == src;
-  }
+  // Is (src -> dst) a same-proc delivery (shared-memory fast path)?
+  bool local(int src, int dst) const { return proc_of(src) == proc_of(dst); }
 };
 
-World::World(int nprocs, ThreadLevel level) : level_(level), link_(nprocs) {
+World::World(int nprocs) : link_(nprocs) {
   endpoints_.reserve(std::size_t(nprocs));
   for (int r = 0; r < nprocs; ++r) {
     endpoints_.push_back(std::make_unique<Endpoint>(r));
@@ -131,8 +154,12 @@ World::~World() {
 
 Comm World::comm(int rank) { return Comm(*this, rank, /*context=*/0); }
 
-int World::local_lo() const { return net_ ? net_->local_lo : 0; }
-int World::local_hi() const { return net_ ? net_->local_hi : size(); }
+int World::local_lo() const {
+  return net_ ? net_->first_rank(net_->p_lo, size()) : 0;
+}
+int World::local_hi() const {
+  return net_ ? net_->first_rank(net_->p_hi, size()) : size();
+}
 
 net::Fabric* World::net_fabric(int src_rank) {
   return net_ ? &net_->fabric_for(src_rank) : nullptr;
@@ -140,24 +167,10 @@ net::Fabric* World::net_fabric(int src_rank) {
 
 void World::net_ingest(net::Frame&& f) {
   // The fabric delivers kSmpi frames only (net::reliable).
-  net::ByteReader rd(f.payload);
-  std::int32_t src_w, dst_w, source, tag;
-  std::uint32_t context;
-  std::uint64_t ts;
-  if (!rd.i32(&src_w) || !rd.i32(&dst_w) || !rd.i32(&source) ||
-      !rd.i32(&tag) || !rd.u32(&context) || !rd.u64(&ts)) {
-    return;  // torn subheader — the framing layer already validated length
-  }
-  if (dst_w < 0 || dst_w >= size()) return;
+  int dst = -1;
   Envelope env;
-  env.source = source;
-  env.tag = tag;
-  env.context = context;
-  f.payload.erase(f.payload.begin(),
-                  f.payload.begin() + std::ptrdiff_t(rd.off));
-  env.payload = std::move(f.payload);
-  env.ts_inject = ts;
-  endpoint(dst_w).deliver(std::move(env));
+  if (!decode_smpi(std::move(f.payload), size(), &dst, &env)) return;
+  endpoint(dst).deliver(std::move(env));
 }
 
 ErrorCode World::deliver(int src, int dst, Envelope&& env) {
@@ -171,16 +184,9 @@ ErrorCode World::deliver(int src, int dst, Envelope&& env) {
     }
     net::Frame f;
     f.kind = net::FrameKind::kSmpi;
-    f.payload.reserve(kSmpiSubheaderBytes + env.payload.size());
-    net::put_i32(f.payload, src);
-    net::put_i32(f.payload, dst);
-    net::put_i32(f.payload, env.source);
-    net::put_i32(f.payload, env.tag);
-    net::put_u32(f.payload, env.context);
-    // Trace epochs differ across real processes; only loopback timestamps
-    // are comparable end to end.
-    net::put_u64(f.payload, net_->launched ? 0 : env.ts_inject);
-    f.payload.insert(f.payload.end(), env.payload.begin(), env.payload.end());
+    // Trace epochs differ across real processes; timestamps are comparable
+    // end to end only when the whole mesh lives in this process.
+    encode_smpi(f.payload, dst, env, net_->all_hosted ? env.ts_inject : 0);
     switch (net_->fabric_for(src).send(net_->proc_of(dst), f)) {
       case net::Fabric::SendResult::kOk:
         return ErrorCode::kOk;
@@ -217,30 +223,27 @@ bool World::net_shutdown(bool local_error) {
   if (!net_->shut.compare_exchange_strong(expected, true)) {
     return net_->remote_error;
   }
-  bool err = false;
-  if (net_->fabrics.size() == 1) {
-    err = net_->fabrics[0]->shutdown(local_error);
-  } else {
-    // Loopback fabrics must shut down CONCURRENTLY: each one's goodbye
-    // phase waits on goodbyes from all the others.
-    std::atomic<bool> any{false};
+  // Hosted fabrics shut down CONCURRENTLY: each one's goodbye phase waits
+  // on goodbyes from all the others. The first runs on this thread.
+  std::atomic<bool> any{false};
+  auto stop = [&any, local_error](net::Fabric& f) {
+    if (f.shutdown(local_error)) any.store(true);
+  };
+  {
     std::vector<std::jthread> ts;
-    ts.reserve(net_->fabrics.size());
-    for (auto& f : net_->fabrics) {
-      ts.emplace_back([&any, &f, local_error] {
-        if (f->shutdown(local_error)) any.store(true);
-      });
+    ts.reserve(net_->fabrics.size() - 1);
+    for (std::size_t i = 1; i < net_->fabrics.size(); ++i) {
+      ts.emplace_back(stop, std::ref(*net_->fabrics[i]));
     }
-    ts.clear();  // join
-    err = any.load();
-  }
+    stop(*net_->fabrics[0]);
+  }  // join
+  const bool err = any.load();
   net_->remote_error = err;
   return err;
 }
 
-void World::run(int nprocs, const std::function<void(Comm&)>& body,
-                ThreadLevel level) {
-  World world(nprocs, level);
+void World::run(int nprocs, const std::function<void(Comm&)>& body) {
+  World world(nprocs);
   std::exception_ptr first_error;
   std::mutex err_mu;
   {

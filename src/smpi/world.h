@@ -2,19 +2,17 @@
 // threads. Replaces mpirun + MPI_Init for this in-process substrate.
 //
 // With --transport=socket (or HCMPI_TRANSPORT=socket) the World additionally
-// owns the process's view of the socket mesh (net::Fabric, DESIGN.md §9):
+// owns this process's part of the socket mesh (net::Fabric, DESIGN.md §9).
+// One rank-block map covers every layout: the mesh has P procs, proc p
+// hosts world ranks [p*rpp, (p+1)*rpp) with rpp = ceil(size / P), and this
+// process runs the fabrics of the procs it hosts — its own proc under
+// hcmpi_launch, all of them (P = size, rpp = 1) in loopback (net/boot.h).
+// Delivery within a proc stays the direct shared-memory endpoint call;
+// everything else is framed onto the wire.
 //
-//   * launched (under hcmpi_launch): this process hosts the contiguous rank
-//     block [local_lo, local_hi) and one Fabric connects it to its sibling
-//     processes. Delivery between co-located ranks stays the direct
-//     shared-memory endpoint call; everything else is framed onto the wire.
-//   * loopback (no launch env): every rank still runs in this process but
-//     gets its OWN Fabric, so all cross-rank traffic crosses real sockets —
-//     the configuration tests, TSan and the bench harness use.
-//
-// Either way World::run only spawns threads for the locally hosted ranks,
-// and teardown ends with a goodbye exchange that propagates a remote rank
-// failure as a std::runtime_error on every surviving process.
+// World::run only spawns threads for the locally hosted ranks, and teardown
+// ends with a goodbye exchange that propagates a remote rank failure as a
+// std::runtime_error on every surviving process.
 #pragma once
 
 #include <atomic>
@@ -38,16 +36,29 @@ namespace smpi {
 
 class Comm;
 
+// The kSmpi frame payload: a 24-byte subheader (dst world rank, source,
+// tag: i32; context: u32; injection timestamp: u64), then the message.
+inline constexpr std::size_t kSmpiSubheaderBytes = 24;
+
+// Appends the kSmpi payload of `env` for world rank `dst` to `out`.
+void encode_smpi(net::Bytes& out, int dst, const Envelope& env,
+                 std::uint64_t ts_inject);
+
+// Decodes a kSmpi payload from a peer process. Wire input is untrusted: a
+// torn subheader, or a dst or source outside [0, world_size), is rejected
+// (false). On success *dst and *env hold the message, payload moved in.
+bool decode_smpi(net::Bytes&& payload, int world_size, int* dst,
+                 Envelope* env);
+
 class World {
  public:
-  explicit World(int nprocs, ThreadLevel level = ThreadLevel::kMultiple);
+  explicit World(int nprocs);
   ~World();
 
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
   int size() const { return int(endpoints_.size()); }
-  ThreadLevel thread_level() const { return level_; }
   Endpoint& endpoint(int rank) { return *endpoints_[std::size_t(rank)]; }
 
   // The contiguous block of world ranks hosted by this process. Equals
@@ -118,8 +129,7 @@ class World {
   // entry point:
   //
   //   smpi::World::run(4, [](smpi::Comm& comm) { ... });
-  static void run(int nprocs, const std::function<void(Comm&)>& body,
-                  ThreadLevel level = ThreadLevel::kMultiple);
+  static void run(int nprocs, const std::function<void(Comm&)>& body);
 
  private:
   struct Net;
@@ -127,7 +137,6 @@ class World {
   void net_ingest(net::Frame&& f);
 
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  ThreadLevel level_;
   std::atomic<std::uint32_t> context_counter_{1};
   std::mutex stash_mu_;
   std::unordered_map<std::uint32_t, std::shared_ptr<void>> stash_;

@@ -192,9 +192,9 @@ bool MetricsRegistry::write_json(const std::string& path) const {
 
 void MetricsRegistry::clear() {
   std::lock_guard<std::mutex> lk(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
+  for (auto& [n, c] : counters_) c->set(0);
+  for (auto& [n, g] : gauges_) g->set(0.0);
+  for (auto& [n, h] : histograms_) h->reset();
 }
 
 MetricsRegistry& MetricsRegistry::global() {

@@ -64,6 +64,11 @@ class MetricsRegistry {
       std::lock_guard<std::mutex> lk(mu_);
       return pct_.percentile(p);
     }
+    void reset() {
+      std::lock_guard<std::mutex> lk(mu_);
+      stats_ = Stats{};
+      pct_ = Percentiles{};
+    }
 
    private:
     mutable std::mutex mu_;
@@ -72,7 +77,7 @@ class MetricsRegistry {
   };
 
   // Lookup-or-create; returned references stay valid for the registry's
-  // lifetime (entries are heap-allocated and never removed except by clear).
+  // lifetime (entries are heap-allocated and never removed).
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
@@ -97,6 +102,8 @@ class MetricsRegistry {
   std::string dump_json() const;
   bool write_json(const std::string& path) const;
 
+  // Zeroes every entry in place. Entries are not erased: hot paths cache
+  // the references above in function-local statics.
   void clear();
 
   // The process-wide instance runtimes export into at teardown.

@@ -4,7 +4,6 @@
 // determinacy-race detector with its two-task witness, finish-scope escape,
 // and comm-worker blocking-call detection.
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -20,14 +19,6 @@
 #include "smpi/world.h"
 
 namespace {
-
-void run_hcmpi(int ranks, int workers,
-               const std::function<void(hcmpi::Context&)>& body) {
-  smpi::World::run(ranks, [&](smpi::Comm& comm) {
-    hcmpi::Context ctx(comm, {.num_workers = workers});
-    ctx.run([&] { body(ctx); });
-  });
-}
 
 // --- diagnostics that fire in every build ----------------------------------
 
@@ -104,14 +95,18 @@ TEST(Negative, SplitPhaseSignalWaitStillSynchronizes) {
   hc::Phaser ph;
   auto* a = ph.register_task(hc::PhaserMode::kSignalWait);
   auto* b = ph.register_task(hc::PhaserMode::kSignalWait);
+  std::atomic<bool> a_checked{false};
   std::atomic<bool> b_signalled{false};
   std::thread tb([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    // b arrives only after the main thread has seen phase 0 with a's split
+    // signal alone, so that check never races b's arrival.
+    while (!a_checked.load()) std::this_thread::yield();
     b_signalled.store(true);
     ph.next(b);
   });
   ph.signal(a);
   EXPECT_EQ(ph.phase(), 0u);  // split signal alone does not end the phase
+  a_checked.store(true);
   ph.wait(a);
   EXPECT_TRUE(b_signalled.load());
   EXPECT_GE(ph.phase(), 1u);
@@ -151,6 +146,14 @@ TEST(Negative, CommTaskLatticeEdges) {
 }
 
 #if HCMPI_CHECK
+
+void run_hcmpi(int ranks, int workers,
+               const std::function<void(hcmpi::Context&)>& body) {
+  smpi::World::run(ranks, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = workers});
+    ctx.run([&] { body(ctx); });
+  });
+}
 
 // --- checked-mode fixture ---------------------------------------------------
 

@@ -1,13 +1,14 @@
 // hcmpi_launch: multi-process launcher for the socket transport.
 //
-//   hcmpi_launch -n <procs> [-rpp <ranks-per-proc>] [--tcp <base-port>]
-//                -- <program> [args...]
+//   hcmpi_launch -n <procs> -- <program> [args...]
 //
-// Forks <procs> copies of <program>, wiring each one's rank-block through
-// the environment (HCMPI_PROC / HCMPI_NPROCS / HCMPI_RANKS_PER_PROC /
-// HCMPI_SESSION / HCMPI_TRANSPORT=socket), so existing examples and tests
-// run unmodified: a World of N ranks started under `hcmpi_launch -n P`
-// hosts ranks [proc*N/P, ...) locally and reaches the rest over the wire.
+// Forks <procs> copies of <program>, placing each one in the job through
+// the environment (HCMPI_PROC / HCMPI_NPROCS / HCMPI_SESSION /
+// HCMPI_TRANSPORT=socket), so existing examples and tests run unmodified: a
+// World of N ranks started under `hcmpi_launch -n P` lays its ranks out in
+// blocks of ceil(N/P), process p hosts ranks [p*ceil(N/P), ...) locally and
+// reaches the rest over Unix-domain sockets. With more processes than
+// ranks, the last processes host none and only take part in teardown.
 //
 // The session directory (Unix-socket rendezvous) is a fresh mkdtemp unless
 // HCMPI_SESSION is already set; it is removed on exit when we created it.
@@ -23,30 +24,27 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 namespace {
 
 void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s -n <procs> [-rpp <ranks-per-proc>] [--tcp <base>] "
-               "-- <program> [args...]\n",
+  std::fprintf(stderr, "usage: %s -n <procs> -- <program> [args...]\n",
                argv0);
 }
 
 // Best-effort cleanup of the session dir we created (sockets + dir).
 void remove_session(const std::string& dir) {
-  std::string cmd = "rm -rf '" + dir + "'";
-  [[maybe_unused]] int rc = std::system(cmd.c_str());
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   int nprocs = 0;
-  int rpp = 0;
-  int tcp_base = 0;
   int prog_at = -1;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
@@ -55,10 +53,6 @@ int main(int argc, char** argv) {
       break;
     } else if ((a == "-n" || a == "--nprocs") && i + 1 < argc) {
       nprocs = std::atoi(argv[++i]);
-    } else if ((a == "-rpp" || a == "--ranks-per-proc") && i + 1 < argc) {
-      rpp = std::atoi(argv[++i]);
-    } else if (a == "--tcp" && i + 1 < argc) {
-      tcp_base = std::atoi(argv[++i]);
     } else if (a == "-h" || a == "--help") {
       usage(argv[0]);
       return 0;
@@ -105,13 +99,7 @@ int main(int argc, char** argv) {
       setenv("HCMPI_TRANSPORT", "socket", 1);
       setenv("HCMPI_PROC", std::to_string(p).c_str(), 1);
       setenv("HCMPI_NPROCS", std::to_string(nprocs).c_str(), 1);
-      if (rpp > 0) {
-        setenv("HCMPI_RANKS_PER_PROC", std::to_string(rpp).c_str(), 1);
-      }
       setenv("HCMPI_SESSION", session.c_str(), 1);
-      if (tcp_base > 0) {
-        setenv("HCMPI_TCP_BASE", std::to_string(tcp_base).c_str(), 1);
-      }
       execvp(argv[prog_at], argv + prog_at);
       std::fprintf(stderr, "hcmpi_launch: exec %s: %s\n", argv[prog_at],
                    std::strerror(errno));
