@@ -4,14 +4,27 @@
 
 #include "check/check.h"
 #include "core/runtime.h"
-#include "dddf/mpi_transport.h"
 #include "fault/fault.h"
+#include "hcmpi/context.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
 namespace dddf {
 
 namespace {
+// Tags in the system communicator's space; hcmpi's non-blocking collective
+// scripts use tags < 100, so the DDDF protocol lives at 1000+.
+constexpr int kTagRegister = 1000;
+constexpr int kTagData = 1001;
+// Barrier-arrival announcement: lets a deadlined finalize name the ranks
+// that never reached it instead of hanging forever.
+constexpr int kTagArrive = 1002;
+
+struct RegisterMsg {
+  Guid guid;
+  int requester;
+};
+
 // DDDF protocol events land on the ring of whatever worker slot runs the
 // handler: the hcmpi communication worker (progress context) or a
 // computation worker issuing the first remote fetch.
@@ -25,13 +38,10 @@ void record_event(support::trace::Ev ev, Guid guid, std::uint64_t bytes) {
 }  // namespace
 
 Space::Space(hcmpi::Context& ctx, SpaceConfig cfg)
-    : Space(std::make_unique<MpiTransport>(ctx), std::move(cfg)) {}
-
-Space::Space(std::unique_ptr<Transport> transport, SpaceConfig cfg)
-    : transport_(std::move(transport)), cfg_(std::move(cfg)) {
-  transport_->bind(
-      [this](Guid g, int requester) { on_register(g, requester); },
-      [this](Guid g, Bytes payload) { on_data(g, std::move(payload)); });
+    : ctx_(ctx),
+      cfg_(std::move(cfg)),
+      // Value-initialized: no rank has arrived.
+      arrived_(std::make_unique<std::atomic<bool>[]>(std::size_t(ctx.size()))) {
   // Contribute protocol state to the stall watchdog's dump: which side of
   // the REGISTER/DATA handshake this rank is stuck on is usually the whole
   // diagnosis. Reads only atomics — safe from the watchdog's thread.
@@ -52,22 +62,27 @@ Space::Space(std::unique_ptr<Transport> transport, SpaceConfig cfg)
             (unsigned long long)gets_issued_.load(std::memory_order_relaxed),
             int(finalized_.load(std::memory_order_relaxed)));
       });
+  // Last: from here on the communication worker dispatches into this object.
+  ctx_.set_poller([this](smpi::Comm& comm) { return poll(comm); });
 }
 
 Space::~Space() {
   fault::unregister_diagnostic(diag_id_);
-  // Fold this rank's protocol counters into the process-wide registry
-  // before the transport (and its progress context) goes away.
+  // Detach the poller *before* the implicit member destruction reaches the
+  // protocol tables it dispatches into: the handshake runs behind every
+  // queued put-flush closure, and no late REGISTER is dispatched after it,
+  // so `pending_`/`served_`/`entries_` are still alive for all of them.
+  ctx_.clear_poller();
+  // Fold this rank's protocol counters into the process-wide registry.
   auto& reg = support::MetricsRegistry::global();
   reg.counter("dddf.remote_gets_issued").add(remote_gets_issued());
   reg.counter("dddf.registrations_received").add(registrations_received());
   reg.counter("dddf.data_messages_sent").add(data_messages_sent());
-  // Stop the transport's progress engine *before* the implicit member
-  // destruction reaches the protocol tables it dispatches into: a queued
-  // put-flush closure or a late retransmitted REGISTER must drain while
-  // `pending_`/`served_`/`entries_` are still alive.
-  transport_.reset();
+  reg.counter("dddf.bytes_sent").add(bytes_sent_);
+  reg.counter("dddf.bytes_received").add(bytes_received_);
 }
+
+int Space::rank() const { return ctx_.rank(); }
 
 Space::Entry* Space::ensure(Guid guid) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -97,7 +112,10 @@ hc::DdfBase* Space::request(Guid guid) {
     // its intent on receiving the put data").
     gets_issued_.fetch_add(1, std::memory_order_relaxed);
     record_event(support::trace::Ev::kDddfGetIssued, guid, 0);
-    transport_->send_register(guid, home);
+    RegisterMsg msg{guid, rank()};
+    ctx_.post_exec([msg, home](smpi::Comm& comm) {
+      comm.send(&msg, sizeof msg, home, kTagRegister);
+    });
   }
   return &e->ddf;
 }
@@ -114,10 +132,10 @@ void Space::put(Guid guid, Bytes data) {
   Entry* e = ensure(guid);
   e->ddf.put(std::move(data));  // releases local DDTs
   // Flush registrations that arrived before the put. The flush runs on the
-  // progress context, where `pending_`/`served_` live; a registration
+  // communication worker, where `pending_`/`served_` live; a registration
   // racing this put is answered directly by on_register (it sees the DDF
   // satisfied), and `served_` keeps the transfer at-most-once either way.
-  transport_->post([this, guid, e] {
+  ctx_.post_exec([this, guid, e](smpi::Comm&) {
     auto it = pending_.find(guid);
     if (it == pending_.end()) return;
     for (int requester : it->second) serve(guid, e, requester);
@@ -131,9 +149,18 @@ const Bytes& Space::get(Guid guid) { return ensure(guid)->ddf.get(); }
 void Space::serve(Guid guid, Entry* e, int requester) {
   if (!served_[guid].insert(requester).second) return;  // at-most-once
   served_pairs_.fetch_add(1, std::memory_order_relaxed);
-  record_event(support::trace::Ev::kDddfServed, guid, e->ddf.get().size());
-  transport_->send_data(guid, requester, e->ddf.get());
+  const Bytes& payload = e->ddf.get();
+  record_event(support::trace::Ev::kDddfServed, guid, payload.size());
+  Bytes wire(sizeof(Guid) + payload.size());
+  std::memcpy(wire.data(), &guid, sizeof(Guid));
+  if (!payload.empty()) {
+    std::memcpy(wire.data() + sizeof(Guid), payload.data(), payload.size());
+  }
+  ctx_.post_exec([wire = std::move(wire), requester](smpi::Comm& comm) {
+    comm.send(wire.data(), wire.size(), requester, kTagData);
+  });
   data_sent_.fetch_add(1, std::memory_order_relaxed);
+  bytes_sent_ += payload.size();
 }
 
 void Space::on_register(Guid guid, int requester) {
@@ -151,13 +178,77 @@ void Space::on_data(Guid guid, Bytes payload) {
   ensure(guid)->ddf.put(std::move(payload));  // wakes awaiting DDTs
 }
 
+bool Space::poll(smpi::Comm& comm) {
+  bool progress = false;
+  smpi::Status st;
+  while (comm.iprobe(smpi::kAnySource, kTagRegister, &st)) {
+    RegisterMsg msg{};
+    comm.recv(&msg, sizeof msg, st.source, kTagRegister);
+    progress = true;
+    on_register(msg.guid, msg.requester);
+  }
+  while (comm.iprobe(smpi::kAnySource, kTagArrive, &st)) {
+    int peer = -1;
+    comm.recv(&peer, sizeof peer, st.source, kTagArrive);
+    progress = true;
+    if (peer >= 0 && peer < ctx_.size()) {
+      arrived_[std::size_t(peer)].store(true, std::memory_order_release);
+    }
+  }
+  while (comm.iprobe(smpi::kAnySource, kTagData, &st)) {
+    Bytes wire(st.count_bytes);
+    comm.recv(wire.data(), wire.size(), st.source, kTagData);
+    progress = true;
+    Guid guid = 0;
+    std::memcpy(&guid, wire.data(), sizeof(Guid));
+    Bytes payload(wire.begin() + sizeof(Guid), wire.end());
+    bytes_received_ += payload.size();
+    record_event(support::trace::Ev::kDddfData, guid, payload.size());
+    on_data(guid, std::move(payload));
+  }
+  return progress;
+}
+
 void Space::finalize(std::uint64_t timeout_ms) {
   finalized_.store(true, std::memory_order_release);
   // When every rank has reached finalize, every await was satisfied, hence
   // every registration was served and no protocol message is in flight: a
   // single system-wide barrier *whose progress engine keeps the listener
-  // serving* is a sound termination detector (DESIGN.md §5).
-  transport_->finalize_barrier(timeout_ms);
+  // serving* is a sound termination detector (DESIGN.md §5). The hcmpi
+  // non-blocking barrier progresses on the communication worker loop, which
+  // also drives poll().
+  if (timeout_ms == 0) timeout_ms = fault::finalize_timeout_ms();
+  if (timeout_ms == 0) {
+    hcmpi::Context::block_until(ctx_.submit_nb_barrier());
+    return;
+  }
+  // Announce arrival out-of-band before joining the barrier proper. The
+  // broadcast only happens on the deadlined path, so the common
+  // wait-forever configuration pays nothing extra.
+  const int me = rank();
+  arrived_[std::size_t(me)].store(true, std::memory_order_release);
+  for (int r = 0; r < ctx_.size(); ++r) {
+    if (r == me) continue;
+    ctx_.post_exec([me, r](smpi::Comm& comm) {
+      comm.send(&me, sizeof me, r, kTagArrive);
+    });
+  }
+  hcmpi::RequestHandle req = ctx_.submit_nb_barrier();
+  if (hcmpi::Context::block_until_deadline(req, timeout_ms)) return;
+  // Deadline expired: pull this rank out of the stuck collective so the
+  // communication worker can still shut down cleanly, then name the ranks
+  // whose ARRIVE never landed.
+  if (!ctx_.cancel(req)) return;  // completed at the wire — we lost the race
+  std::vector<int> missing;
+  for (int r = 0; r < ctx_.size(); ++r) {
+    if (!arrived_[std::size_t(r)].load(std::memory_order_acquire)) {
+      missing.push_back(r);
+    }
+  }
+  // missing may be empty: everyone announced arrival but the barrier script
+  // itself stalled (e.g. step traffic lost past the retry budget). Still a
+  // timeout — the message then names no ranks rather than fabricating some.
+  throw BarrierTimeout(me, std::move(missing));
 }
 
 }  // namespace dddf

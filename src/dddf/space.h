@@ -10,19 +10,20 @@
 // with put(); any rank consumes it with async_await + get(). Under the hood:
 //
 //   * the first local await on a remote guid sends REGISTER(guid, me) to the
-//     home rank through the transport;
+//     home rank as a message on the HCMPI system communicator (§III-B);
 //   * the home rank answers with DATA once the value exists (a listener —
-//     the transport's progress context — serves late registrations);
+//     the poller on the communication worker — serves late registrations);
 //   * the payload is cached locally, so "the data transfer from home to
 //     remote happens at most once" and later awaits succeed immediately;
 //   * finalize() is the global termination step that lets every rank's
 //     listener keep serving until all ranks are provably quiescent.
 //
-// The space is transport-agnostic (paper §I: APGNS "can be implemented atop
-// a wide range of communication runtimes"): use the hcmpi-backed
-// MpiTransport (the paper's configuration) or the MPI-free active-message
-// AmTransport. The dynamic single-assignment rule of DDFs makes the remote
-// cache trivially coherent and all accesses race-free and deterministic.
+// All protocol handlers run on the communication worker (the progress
+// context), one thread per rank, so the home-side tables need no locks. The
+// same protocol runs unchanged on the thread wire and the socket wire
+// (DESIGN.md §9). The dynamic single-assignment rule of DDFs makes the
+// remote cache trivially coherent and all accesses race-free and
+// deterministic.
 #pragma once
 
 #include <atomic>
@@ -31,18 +32,48 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/ddf.h"
-#include "dddf/transport.h"
 
 namespace hcmpi {
 class Context;
 }
+namespace smpi {
+class Comm;
+}
 
 namespace dddf {
+
+using Guid = std::uint64_t;
+using Bytes = std::vector<std::uint8_t>;
+
+// Thrown by finalize when a deadline was set and some ranks never arrived
+// (rank death, lost protocol traffic past the retry budget) — `missing()`
+// names them, turning the classic hang-forever into an actionable
+// diagnostic.
+class BarrierTimeout : public std::runtime_error {
+ public:
+  BarrierTimeout(int rank, std::vector<int> missing)
+      : std::runtime_error(format(rank, missing)),
+        rank_(rank), missing_(std::move(missing)) {}
+  int rank() const { return rank_; }
+  const std::vector<int>& missing() const { return missing_; }
+
+ private:
+  static std::string format(int rank, const std::vector<int>& missing) {
+    std::string s = "dddf: finalize barrier timed out on rank " +
+                    std::to_string(rank) + "; ranks never arrived:";
+    for (int r : missing) s += " " + std::to_string(r);
+    return s;
+  }
+  int rank_;
+  std::vector<int> missing_;
+};
 
 struct SpaceConfig {
   std::function<int(Guid)> home;          // DDF_HOME
@@ -51,19 +82,16 @@ struct SpaceConfig {
 
 class Space {
  public:
-  // Convenience: the paper's configuration — protocol over the HCMPI
-  // communication worker. Collective across all ranks of ctx.
+  // Collective across all ranks of ctx. The protocol rides ctx's
+  // communication worker; the poller is armed last, so remote traffic that
+  // races ahead of this constructor stays queued in smpi until then.
   Space(hcmpi::Context& ctx, SpaceConfig cfg);
-
-  // Any transport implementing dddf::Transport.
-  Space(std::unique_ptr<Transport> transport, SpaceConfig cfg);
-
   ~Space();
 
   Space(const Space&) = delete;
   Space& operator=(const Space&) = delete;
 
-  int rank() const { return transport_->rank(); }
+  int rank() const;
   bool is_home(Guid guid) const { return cfg_.home(guid) == rank(); }
 
   // DDF_HANDLE: the local DDF backing this guid (created on first use).
@@ -124,7 +152,6 @@ class Space {
   std::uint64_t remote_gets_issued() const {
     return gets_issued_.load(std::memory_order_relaxed);
   }
-  Transport& transport() { return *transport_; }
 
  private:
   struct Entry {
@@ -135,21 +162,27 @@ class Space {
   Entry* ensure(Guid guid);
   // handle() + remote fetch kick-off.
   hc::DdfBase* request(Guid guid);
-  // Progress-context handlers (installed on the transport).
+  // The communication-worker poller: drains REGISTER, ARRIVE and DATA
+  // messages and dispatches them to the handlers below.
+  bool poll(smpi::Comm& comm);
+  // Progress-context handlers.
   void on_register(Guid guid, int requester);
   void on_data(Guid guid, Bytes payload);
   void serve(Guid guid, Entry* e, int requester);
 
-  std::unique_ptr<Transport> transport_;
+  hcmpi::Context& ctx_;
   SpaceConfig cfg_;
 
   std::mutex mu_;
   std::unordered_map<Guid, std::unique_ptr<Entry>> entries_;
   std::atomic<bool> finalized_{false};
 
-  // Progress-context-only state (no lock needed).
+  // Progress-context-only state (no lock needed). The byte counters are
+  // read only by ~Space, after the poller has been cleared.
   std::unordered_map<Guid, std::vector<int>> pending_;  // waiting requesters
   std::unordered_map<Guid, std::unordered_set<int>> served_;
+  std::uint64_t bytes_sent_ = 0;      // DATA payload bytes queued
+  std::uint64_t bytes_received_ = 0;  // DATA payload bytes delivered
   // Bumped on the progress context only, but read from computation threads
   // (test introspection after finalize, the teardown metrics export, the
   // watchdog dump) with no synchronizing edge — hence relaxed atomics.
@@ -163,6 +196,11 @@ class Space {
   std::atomic<std::uint64_t> pending_guids_{0};
   std::atomic<std::uint64_t> served_pairs_{0};
   int diag_id_ = -1;  // fault::register_diagnostic handle
+
+  // Barrier-arrival flags (one-shot; finalize happens once per Space): set
+  // by poll() when a peer's ARRIVE lands, read by a deadlined finalize to
+  // name the ranks that never made it.
+  std::unique_ptr<std::atomic<bool>[]> arrived_;
 };
 
 }  // namespace dddf

@@ -14,8 +14,8 @@
 //     matter how threads interleave.
 //   * The decision point is hooked into two places: the in-memory faulty
 //     link (link.h), which carries smpi's local eager deliveries (all hcmpi
-//     p2p + collective + DDDF protocol traffic) and the AmBus mailboxes, and
-//     the socket fabric's transmit point. That is where the recovery layers
+//     p2p + collective + DDDF protocol traffic), and the socket fabric's
+//     transmit point. That is where the recovery layers
 //     (the link's retry + per-pair seq dedup, the fabric's ack/RTO/reorder,
 //     request deadlines in hcmpi) earn their keep.
 //   * A stall-watchdog configuration read by the hcmpi communication worker,
@@ -63,7 +63,7 @@ struct Config {
   // tasks sit ACTIVE with no lifecycle transition for this long. 0 = off.
   std::uint64_t watchdog_ms = 0;
 
-  // Default deadline for Space::finalize / Transport::finalize_barrier.
+  // Default deadline for Space::finalize.
   // 0 = wait forever (the pre-fault behavior).
   std::uint64_t finalize_timeout_ms = 0;
 };

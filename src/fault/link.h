@@ -1,8 +1,8 @@
 // The faulty link for in-memory delivery (DESIGN.md §6). The smpi thread
-// wire (World::deliver) and the AmBus mailboxes both hand a message straight
-// to its receiver, so the sender learns of an injected drop at once and can
-// simply try again. One Link per World / AmBus carries every message of
-// that group while injection is armed:
+// wire (World::deliver) hands a message straight to its receiver, so the
+// sender learns of an injected drop at once and can simply try again. One
+// Link per World carries every message of that World while injection is
+// armed:
 //
 //   * it stamps the message with the next seq of its (src, dst) pair — a
 //     gapless counter owned by the Link, never process-global;

@@ -48,7 +48,7 @@ enum class CommKind : std::uint8_t {
   kNbBarrier,
   kNbAllreduce,
   // Arbitrary closure executed on the communication worker with the system
-  // communicator (the DDDF transport hooks in through this).
+  // communicator (the DDDF space hooks in through this).
   kExec,
   kShutdown,
 };

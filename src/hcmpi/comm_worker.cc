@@ -148,7 +148,7 @@ RequestHandle Context::submit_nb_barrier() {
   t->request = req;
   t->finish = nullptr;
   // Linked like p2p requests so a deadlined finalize barrier is cancellable
-  // (Transport::finalize_barrier timeout; see the kCancel nb path below).
+  // (Space::finalize timeout; see the kCancel nb path below).
   req->task.store(t, std::memory_order_release);
   req->task_gen.store(t->gen.load(std::memory_order_acquire),
                       std::memory_order_release);

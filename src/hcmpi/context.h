@@ -115,7 +115,7 @@ class Context {
   void set_poller(std::function<bool(smpi::Comm&)> poller);
   // Detaches the poller with a handshake on the communication worker: once
   // this returns, no poller call is in flight and none will start, so the
-  // owner (the DDDF transport) can safely destroy the state it polls into.
+  // owner (the DDDF space) can safely destroy the state it polls into.
   void clear_poller();
   // Enqueues a script-based non-blocking barrier/allreduce; the returned
   // request is put when it completes. `finish_scoped` controls whether the

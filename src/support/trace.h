@@ -50,7 +50,7 @@ enum class Ev : std::uint8_t {
   kCommCompleted,
   kCommAvailable,
 
-  // DDDF transport events (dddf/space.cc, dddf/mpi_transport.cc); b = bytes.
+  // DDDF protocol events (dddf/space.cc); b = bytes.
   kDddfGetIssued,  // first local consumer registered intent with the home
   kDddfServed,     // home rank served a registration
   kDddfData,       // payload arrived at a remote rank
@@ -60,7 +60,7 @@ enum class Ev : std::uint8_t {
   kCheckRace,       // a = other strand id of the witness, b = address
   kCheckViolation,  // a = violation class (misuse analyzer)
 
-  // hc-fault injection & recovery (src/fault/, smpi wire, AM transport).
+  // hc-fault injection & recovery (src/fault/, smpi wire, socket fabric).
   kFaultDrop,       // a = dst rank, b = channel seq of the dropped attempt
   kFaultDelay,      // a = dst rank, b = injected delay in us
   kFaultDup,        // a = dst rank, b = channel seq that was duplicated

@@ -152,22 +152,32 @@ TEST(Dddf, ChainAcrossRanks) {
   });
 }
 
-TEST(Dddf, MultiInputAwait) {
-  run_space(3, 2, [](hcmpi::Context& ctx, dddf::Space& space) {
-    // guid r is produced by rank r; rank 0 additionally combines all three.
-    space.put_value<int>(dddf::Guid(ctx.rank()), (ctx.rank() + 1) * 3);
-    if (ctx.rank() == 0) {
-      std::atomic<int> total{0};
-      hc::finish([&] {
-        space.async_await({0, 1, 2}, [&] {
-          total.store(space.get_value<int>(0) + space.get_value<int>(1) +
-                      space.get_value<int>(2));
-        });
-      });
-      EXPECT_EQ(total.load(), 18);
+// guid r is produced by rank r; every rank combines all of them, so each
+// rank both serves its value to every peer and awaits every peer's value.
+void multi_input_await(int ranks) {
+  run_space(ranks, 2, [ranks](hcmpi::Context& ctx, dddf::Space& space) {
+    std::vector<dddf::Guid> all;
+    int expected = 0;
+    for (int r = 0; r < ranks; ++r) {
+      all.push_back(dddf::Guid(r));
+      expected += (r + 1) * 3;
     }
+    std::atomic<int> total{0};
+    hc::finish([&] {
+      space.async_await(all, [&] {
+        int s = 0;
+        for (dddf::Guid g : all) s += space.get_value<int>(g);
+        total.store(s);
+      });
+      space.put_value<int>(dddf::Guid(ctx.rank()), (ctx.rank() + 1) * 3);
+    });
+    EXPECT_EQ(total.load(), expected);
   });
 }
+
+TEST(Dddf, MultiInputAwait) { multi_input_await(3); }
+
+TEST(Dddf, MultiInputAwaitFiveRanks) { multi_input_await(5); }
 
 TEST(Dddf, LargePayloadRoundTrip) {
   run_space(2, 2, [](hcmpi::Context& ctx, dddf::Space& space) {

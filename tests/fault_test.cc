@@ -1,7 +1,6 @@
-// hc-fault: deterministic injection schedules, retransmit/dedup recovery on
-// both transports, request deadlines, the stall watchdog and the deadlined
-// finalize barrier.
-#include <algorithm>
+// hc-fault: deterministic injection schedules, retransmit/dedup recovery
+// under smpi, hcmpi and DDDF traffic, request deadlines, the stall watchdog
+// and the deadlined finalize barrier.
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -11,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "core/api.h"
-#include "dddf/am_transport.h"
 #include "dddf/space.h"
 #include "fault/fault.h"
 #include "hcmpi/context.h"
@@ -32,6 +30,13 @@ struct FaultGuard {
 
 std::uint64_t counter(const std::string& name) {
   return support::MetricsRegistry::global().counter_value(name);
+}
+
+// Retransmissions on whichever wire carried the run: the in-memory link's
+// retries (retry.count) or, under HCMPI_TRANSPORT=socket, the fabric's
+// retransmit timer (net.retransmits).
+std::uint64_t wire_retries() {
+  return counter("retry.count") + counter("net.retransmits");
 }
 
 dddf::SpaceConfig cyclic(int ranks) {
@@ -268,8 +273,11 @@ TEST(DddfFault, MpiTransportChainSurvivesDrops) {
   cfg.drop_p = 0.1;
   cfg.dup_p = 0.1;
   fault::configure(cfg);
+  std::uint64_t drops0 = counter("fault.injected.drop");
+  std::uint64_t retries0 = wire_retries();
   const int ranks = 3, depth = 12;
   std::atomic<int> final_value{-1};
+  std::atomic<std::uint64_t> transfers{0};
   smpi::World::run(ranks, [&](smpi::Comm& comm) {
     hcmpi::Context ctx(comm, {.num_workers = 2});
     dddf::Space space(ctx, cyclic(ranks));
@@ -291,107 +299,15 @@ TEST(DddfFault, MpiTransportChainSurvivesDrops) {
       space.finalize();
       dddf::Guid last = dddf::Guid(depth - 1);
       if (space.is_home(last)) final_value.store(space.get_value<int>(last));
+      transfers.fetch_add(space.data_messages_sent());
     });
   });
   EXPECT_EQ(final_value.load(), depth);
-}
-
-TEST(DddfFault, AmTransportLinkRetryDelivers) {
-  FaultGuard guard;
-  fault::Config cfg;
-  cfg.seed = 3;
-  cfg.drop_p = 0.3;  // heavy loss: protocol messages lean on the link retry
-  fault::configure(cfg);
-  std::uint64_t drops0 = counter("fault.injected.drop");
-  std::uint64_t retries0 = counter("retry.count");
-  constexpr int kRanks = 3, kDepth = 10;
-  std::atomic<int> final_value{-1};
-  std::atomic<std::uint64_t> transfers{0};
-  auto bus = std::make_shared<dddf::AmBus>(kRanks);
-  std::vector<std::thread> threads;
-  for (int r = 0; r < kRanks; ++r) {
-    threads.emplace_back([&, r] {
-      dddf::Space space(std::make_unique<dddf::AmTransport>(bus, r),
-                        cyclic(kRanks));
-      hc::Runtime rt({.num_workers = 2});
-      rt.launch([&] {
-        hc::finish([&] {
-          for (int k = 0; k < kDepth; ++k) {
-            if (int(dddf::Guid(k) % kRanks) != r) continue;
-            if (k == 0) {
-              space.put_value<int>(0, 1);
-            } else {
-              dddf::Guid prev = dddf::Guid(k - 1);
-              space.async_await({prev}, [&space, prev, k] {
-                space.put_value<int>(dddf::Guid(k),
-                                     space.get_value<int>(prev) + 1);
-              });
-            }
-          }
-        });
-        space.finalize();
-        if (space.is_home(dddf::Guid(kDepth - 1))) {
-          final_value.store(space.get_value<int>(dddf::Guid(kDepth - 1)));
-        }
-        transfers.fetch_add(space.data_messages_sent());
-      });
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(final_value.load(), kDepth);
   // At-most-once above the wire: one DATA per (guid, consumer) pair even
   // though the wire dropped and retransmitted.
-  EXPECT_EQ(transfers.load(), std::uint64_t(kDepth - 1));
+  EXPECT_EQ(transfers.load(), std::uint64_t(depth - 1));
   EXPECT_GT(counter("fault.injected.drop"), drops0);
-  EXPECT_GT(counter("retry.count"), retries0);
-}
-
-TEST(DddfFault, AmDedupStateStaysBoundedAcrossBuses) {
-  // The AM receiver's dedup state collapses to a floor too: two buses back
-  // to back, thousands of DATA messages each from one sending thread under
-  // the DDDF tests' heavy loss plus duplicates. Every payload is dispatched
-  // exactly once and the tracker never holds more than one seq above its
-  // floor.
-  FaultGuard guard;
-  fault::Config cfg;
-  cfg.seed = 3;
-  cfg.drop_p = 0.3;
-  cfg.dup_p = 0.1;
-  fault::configure(cfg);
-  constexpr int kMsgs = 4000;
-  for (int round = 0; round < 2; ++round) {
-    auto bus = std::make_shared<dddf::AmBus>(2);
-    dddf::AmTransport sender(bus, 0);
-    dddf::AmTransport receiver(bus, 1);
-    std::vector<int> seen(kMsgs, 0);  // receiver's progress thread only
-    std::atomic<int> dispatched{0};
-    sender.bind([](dddf::Guid, int) {}, [](dddf::Guid, dddf::Bytes) {});
-    receiver.bind([](dddf::Guid, int) {},
-                  [&](dddf::Guid g, dddf::Bytes) {
-                    ++seen[std::size_t(g)];
-                    dispatched.fetch_add(1, std::memory_order_release);
-                  });
-    for (int i = 0; i < kMsgs; ++i) {
-      sender.send_data(dddf::Guid(i), 1, dddf::Bytes(8, std::uint8_t(i)));
-    }
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (dispatched.load(std::memory_order_acquire) < kMsgs &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    // A closure posted now runs after everything already in the receiver's
-    // mailbox, a late duplicate included; once it has run the counts are
-    // final.
-    std::atomic<bool> drained{false};
-    receiver.post([&] { drained.store(true, std::memory_order_release); });
-    while (!drained.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_EQ(dispatched.load(), kMsgs) << "round " << round;
-    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), kMsgs);
-    EXPECT_LE(receiver.dedup_high_water(), 1u) << "round " << round;
-  }
+  EXPECT_GT(wire_retries(), retries0);
 }
 
 // ---------------------------------------------------------------------------
@@ -454,20 +370,6 @@ TEST(WatchdogFault, FiresOnStalledCommWorkerAndDumps) {
   EXPECT_NE(err.find("watchdog"), std::string::npos);
   EXPECT_NE(err.find("irecv"), std::string::npos);
   EXPECT_NE(err.find("dddf.space"), std::string::npos);
-}
-
-TEST(BarrierFault, AmBarrierTimeoutNamesMissingRanks) {
-  auto bus = std::make_shared<dddf::AmBus>(2);
-  dddf::AmTransport t0(bus, 0);
-  dddf::AmTransport t1(bus, 1);  // never joins the barrier
-  try {
-    t0.finalize_barrier(100);
-    FAIL() << "barrier should have timed out";
-  } catch (const dddf::BarrierTimeout& e) {
-    EXPECT_EQ(e.rank(), 0);
-    ASSERT_EQ(e.missing().size(), 1u);
-    EXPECT_EQ(e.missing()[0], 1);
-  }
 }
 
 TEST(BarrierFault, MpiFinalizeTimeoutNamesMissingRanks) {

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/api.h"
-#include "dddf/mpi_transport.h"
 #include "dddf/space.h"
 #include "fault/fault.h"
 #include "hcmpi/context.h"
@@ -792,8 +791,8 @@ TEST_F(SocketWorldTest, ChaosOverSocketsStaysExactlyOnce) {
   });
 }
 
-// DDDF over sockets runs on the paper's transport, MpiTransport: REGISTER
-// and DATA are smpi messages, so the fabric carries them like any other.
+// DDDF over sockets runs the paper's protocol unchanged: REGISTER and DATA
+// are smpi messages, so the fabric carries them like any other.
 dddf::SpaceConfig cyclic(int ranks) {
   return {
       .home = [ranks](dddf::Guid g) { return int(g % dddf::Guid(ranks)); },
@@ -820,13 +819,12 @@ TEST_F(SocketWorldTest, DddfRemoteAwaitMovesOneTransfer) {
       }
       space.finalize(10000);
     });
-    auto& t = dynamic_cast<dddf::MpiTransport&>(space.transport());
     if (ctx.rank() == 0) {
-      EXPECT_EQ(t.registrations_received(), 1u);
-      EXPECT_EQ(t.data_messages_sent(), 1u);
+      EXPECT_EQ(space.registrations_received(), 1u);
+      EXPECT_EQ(space.data_messages_sent(), 1u);
     } else {
       EXPECT_EQ(space.remote_gets_issued(), 1u);
-      EXPECT_EQ(t.data_messages_sent(), 0u);
+      EXPECT_EQ(space.data_messages_sent(), 0u);
     }
   });
   // The protocol crossed the sockets rather than a shared-memory shortcut.

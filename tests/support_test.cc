@@ -13,7 +13,6 @@
 #include "support/sha1.h"
 #include "support/spin.h"
 #include "support/metrics.h"
-#include "support/spsc_ring.h"
 #include "support/stats.h"
 
 namespace {
@@ -198,43 +197,6 @@ TEST(Mpsc, MultiProducerDeliversAll) {
   }
   for (auto& t : producers) t.join();
   EXPECT_EQ(seen.size(), std::size_t(3 * kPerThread));
-}
-
-// --- SPSC ring ------------------------------------------------------------------
-
-TEST(Spsc, PushPopRoundTrip) {
-  support::SpscRing<int> r(8);
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 8; ++i) EXPECT_TRUE(r.try_push(i));
-    EXPECT_FALSE(r.try_push(99));  // full
-    int v;
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_TRUE(r.try_pop(v));
-      EXPECT_EQ(v, i);
-    }
-    EXPECT_FALSE(r.try_pop(v));  // empty
-  }
-}
-
-TEST(Spsc, ConcurrentStream) {
-  support::SpscRing<int> r(64);
-  constexpr int kN = 100000;
-  std::thread producer([&] {
-    for (int i = 0; i < kN;) {
-      if (r.try_push(i)) ++i;
-    }
-  });
-  long long sum = 0;
-  for (int got = 0; got < kN;) {
-    int v;
-    if (r.try_pop(v)) {
-      EXPECT_EQ(v, got);
-      sum += v;
-      ++got;
-    }
-  }
-  producer.join();
-  EXPECT_EQ(sum, (long long)kN * (kN - 1) / 2);
 }
 
 // --- Stats ---------------------------------------------------------------------

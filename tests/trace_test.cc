@@ -261,8 +261,26 @@ bool json_balanced(const std::string& s) {
   return depth == 0 && !in_str;
 }
 
+// Where a missing span went: ring overwrites show in the process-wide
+// trace.dropped counter (delta since `dropped0`) and in each exported
+// track's `dropped`; a span missing with no drops was lost by the exporter.
+std::string drop_report(std::uint64_t dropped0) {
+  const std::uint64_t dropped =
+      support::MetricsRegistry::global().counter_value("trace.dropped") -
+      dropped0;
+  std::string s = "trace.dropped +" + std::to_string(dropped) + "; tracks:";
+  for (const auto& t : trace::Collector::global().tracks()) {
+    s += " [pid " + std::to_string(t.pid) + " " + t.name + " events " +
+         std::to_string(t.events.size()) + " dropped " +
+         std::to_string(t.dropped) + "]";
+  }
+  return s;
+}
+
 TEST(TraceExport, ChromeJsonContainsLifecycleSpans) {
   TraceGateGuard guard;
+  const std::uint64_t dropped0 =
+      support::MetricsRegistry::global().counter_value("trace.dropped");
   trace::set_enabled(true);
   smpi::World::run(2, [](smpi::Comm& comm) {
     hcmpi::Context ctx(comm, {.num_workers = 1});
@@ -280,14 +298,15 @@ TEST(TraceExport, ChromeJsonContainsLifecycleSpans) {
   });
   trace::set_enabled(false);
   std::string json = trace::chrome_trace_json();
+  const std::string drops = drop_report(dropped0);
   EXPECT_TRUE(json_balanced(json));
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   // Comm-task lifecycle spans for each Fig. 10 state transition.
   for (const char* state : {"ALLOCATED", "PRESCRIBED", "ACTIVE", "COMPLETED"}) {
-    EXPECT_NE(json.find(state), std::string::npos) << state;
+    EXPECT_NE(json.find(state), std::string::npos) << state << "; " << drops;
   }
   // Worker task spans and thread/process naming metadata.
-  EXPECT_NE(json.find("\"name\":\"task\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"task\""), std::string::npos) << drops;
   EXPECT_NE(json.find("comm-worker"), std::string::npos);
   EXPECT_NE(json.find("rank 0"), std::string::npos);
   EXPECT_NE(json.find("rank 1"), std::string::npos);
