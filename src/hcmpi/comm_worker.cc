@@ -3,7 +3,10 @@
 // paper's MPI_Test loop), makes progress on script-based non-blocking
 // collectives, and runs the DDDF poller — all on one thread, so the
 // substrate operates at MPI_THREAD_SINGLE no matter how many computation
-// workers are active.
+// workers are active. On the socket wire it also drives its rank's fabric:
+// once per iteration it reads arrived frames and sends what the iteration
+// queued (smpi::Comm::progress), as an MPI library moves the network inside
+// MPI_Test.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -281,6 +284,10 @@ void Context::comm_worker_main() {
   // this thread (one relaxed load per iteration until then).
   bool prof_bound = false;
 
+  // Socket wire: this thread reads and writes the fabric from here on, and
+  // hands reading back to the fabric's IO thread around blocking calls.
+  comm_.drive(true);
+
   for (;;) {
     if (!prof_bound && prof::enabled()) {
       prof::enter_state(prof::State::kCommProgress);
@@ -370,6 +377,10 @@ void Context::comm_worker_main() {
           break;
       }
     }
+
+    // The sends just issued leave together, and arrived frames are read and
+    // delivered before the requests are polled.
+    comm_.progress();
 
     // 2. Poll ACTIVE point-to-point requests (the paper's MPI_Test loop),
     // expiring any whose deadline has passed.
@@ -511,6 +522,7 @@ void Context::comm_worker_main() {
       complete_p2p(t);
     }
   }
+  comm_.drive(false);
   prof::unregister_thread();
 }
 

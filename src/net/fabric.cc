@@ -37,6 +37,12 @@ struct Counters {
   support::MetricsRegistry::Counter& frames_sent = ctr("net.frames.sent");
   support::MetricsRegistry::Counter& acks_sent = ctr("net.acks.sent");
   support::MetricsRegistry::Counter& frames_recv = ctr("net.frames.received");
+  // Of those, the frames a driver read in progress().
+  support::MetricsRegistry::Counter& driver_read =
+      ctr("net.frames.driver_read");
+  // Passes in which the IO thread took reading back from a registered
+  // driver that had stopped calling progress().
+  support::MetricsRegistry::Counter& backstop = ctr("net.io.backstop");
   support::MetricsRegistry::Counter& bytes_sent = ctr("net.bytes.sent");
   support::MetricsRegistry::Counter& bytes_recv = ctr("net.bytes.received");
   support::MetricsRegistry::Counter& retransmits = ctr("net.retransmits");
@@ -59,6 +65,9 @@ void rec(support::trace::Ev ev, std::uint32_t a, std::uint64_t b) {
   if (!support::trace::enabled()) return;
   if (auto* ring = support::trace::thread_ring()) ring->record(ev, a, b);
 }
+
+// The fabric the calling thread drives, if any (Fabric::drive).
+thread_local Fabric* t_driving = nullptr;
 
 void set_cloexec_nonblock(int fd) {
   ::fcntl(fd, F_SETFD, FD_CLOEXEC);
@@ -167,7 +176,9 @@ Fabric::SendResult Fabric::try_send(int dst, Frame& f) {
     f.dst = std::uint32_t(dst);
     f.seq = p.tx_next++;
     p.sendq.push_back(std::move(f));
-    notify = true;
+    p.tx_ready.store(true, std::memory_order_relaxed);
+    // A driver's frame waits for its own next progress() or hand-back.
+    notify = t_driving != this;
   }
   if (notify) wake();
   return SendResult::kOk;
@@ -177,12 +188,79 @@ Fabric::SendResult Fabric::send(int dst, Frame& f) {
   for (;;) {
     SendResult r = try_send(dst, f);
     if (r != SendResult::kWouldBlock) return r;
+    HandBack hand_back;  // a parked driver reads nothing
     std::unique_lock<std::mutex> lk(mu_);
     Peer& p = *peers_[std::size_t(dst)];
     cv_.wait_for(lk, std::chrono::milliseconds(2), [&] {
       return closed_ || p.dead || p.sendq.size() < opts_.sendq_cap;
     });
   }
+}
+
+void Fabric::drive(bool on) {
+  if (on == (t_driving == this)) return;
+  if (on) {
+    enlist();
+  } else {
+    retire();
+  }
+}
+
+void Fabric::enlist() {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    ++drivers_;
+  }
+  t_driving = this;
+}
+
+// Hands reading back: flush what this driver queued (its try_sends did not
+// wake the IO thread), deregister, then wake the IO thread. drivers_ changes
+// under mu_ before wake(), so the argument at wake() covers it: the IO
+// thread's next pass sees the count and polls the peers for input again.
+void Fabric::retire() {
+  t_driving = nullptr;
+  {
+    std::lock_guard<std::mutex> tok(io_mu_);
+    const auto now = Clock::now();
+    for (auto& up : peers_) {
+      if (!up || !up->up) continue;
+      drain_sendq(*up, now);
+      if (!paused_.load(std::memory_order_relaxed)) flush_out(*up);
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    --drivers_;
+  }
+  wake();
+}
+
+void Fabric::progress() {
+  if (!driver_seen_.load(std::memory_order_relaxed)) {
+    driver_seen_.store(true, std::memory_order_relaxed);
+  }
+  std::unique_lock<std::mutex> tok(io_mu_, std::try_to_lock);
+  if (!tok.owns_lock()) return;  // the IO thread is mid-pass
+  const auto now = Clock::now();
+  for (auto& up : peers_) {
+    if (!up || !up->up) continue;
+    Peer& p = *up;
+    if (const std::size_t n = read_ready(p, now); n != 0) {
+      counters().driver_read.add(n);
+    }
+    if (!p.up) continue;  // the read saw the connection go down
+    if (p.tx_ready.load(std::memory_order_relaxed)) drain_sendq(p, now);
+    if (!paused_.load(std::memory_order_relaxed)) flush_out(p);
+  }
+}
+
+Fabric::HandBack::HandBack() : f_(t_driving) {
+  if (f_ != nullptr) f_->retire();
+}
+
+Fabric::HandBack::~HandBack() {
+  if (f_ != nullptr) f_->enlist();
 }
 
 bool Fabric::peer_dead(int p) const {
@@ -514,6 +592,7 @@ void Fabric::drain_sendq(Peer& p, Clock::time_point now) {
       p.batch.push_back(std::move(p.sendq.front()));
       p.sendq.pop_front();
     }
+    if (p.sendq.empty()) p.tx_ready.store(false, std::memory_order_relaxed);
     p.unacked_count += p.batch.size();
   }
   if (p.batch.empty()) return;
@@ -628,7 +707,7 @@ void Fabric::on_ack(Peer& p, const Frame& f) {
   cv_.notify_all();
 }
 
-void Fabric::read_ready(Peer& p, Clock::time_point now) {
+std::size_t Fabric::read_ready(Peer& p, Clock::time_point now) {
   std::uint8_t buf[kReadChunk];
   bool down = false;
   int down_err = 0;
@@ -652,15 +731,20 @@ void Fabric::read_ready(Peer& p, Clock::time_point now) {
   }
   if (p.reader.corrupt()) {
     conn_down(p, EPROTO);  // torn/garbage stream: resync via reconnect
-    return;
+    return 0;
   }
   // Handle complete frames BEFORE reacting to EOF: the peer's goodbye often
   // rides the same read as the close that follows it, and conn_down resets
   // the reader.
+  std::size_t frames = 0;
   Frame f;
-  while (p.reader.next(&f)) handle_frame(p, std::move(f), now);
+  while (p.reader.next(&f)) {
+    handle_frame(p, std::move(f), now);
+    ++frames;
+  }
   ack_batch(p, now);
   if (down) conn_down(p, down_err);
+  return frames;
 }
 
 void Fabric::accept_ready(Clock::time_point now) {
@@ -832,16 +916,27 @@ void Fabric::io_main() {
   // Poll set scratch, reused across passes.
   std::vector<pollfd> fds;
   std::vector<Peer*> fd_peer;
+  bool io_reads = true;  // this pass polls the peer sockets for input
   for (;;) {
     bool stop, drop, paused;
+    int drivers;
     {
       std::lock_guard<std::mutex> lk(mu_);
       stop = stop_;
       drop = drop_conns_;
       drop_conns_ = false;
       paused = paused_;
+      drivers = drivers_;
     }
     if (stop) break;
+    // Reading stays with the drivers while one of them called progress()
+    // since the last pass; otherwise the IO thread takes it (back).
+    const bool driven =
+        drivers > 0 && driver_seen_.exchange(false, std::memory_order_relaxed);
+    if (drivers > 0 && !driven && !io_reads) counters().backstop.add();
+    io_reads = !driven;
+    // The token is held for the whole pass except the poll() itself.
+    std::unique_lock<std::mutex> tok(io_mu_);
     auto now = Clock::now();
     check_dark();
     bool dark;
@@ -877,7 +972,8 @@ void Fabric::io_main() {
       }
       for (auto& up : peers_) {
         if (!up || up->fd < 0) continue;
-        short ev = POLLIN;
+        // Hang-ups and errors are reported with or without POLLIN.
+        short ev = io_reads ? POLLIN : 0;
         if (up->connecting ||
             (!paused && up->outoff < up->outbuf.size())) {
           ev |= POLLOUT;
@@ -886,7 +982,9 @@ void Fabric::io_main() {
         fd_peer.push_back(up.get());
       }
     }
+    tok.unlock();
     ::poll(fds.data(), nfds_t(fds.size()), 2);
+    tok.lock();
     now = Clock::now();
     if (fds[0].revents != 0) {
       char buf[256];
@@ -898,7 +996,8 @@ void Fabric::io_main() {
     for (std::size_t i = accept_base; i < fds.size(); ++i) {
       Peer* p = fd_peer[i];
       if (p == nullptr) continue;  // pending accepts are re-polled above
-      if (p->fd != fds[i].fd) continue;  // closed/reattached this iteration
+      // Closed meanwhile (by a driver too) or reattached this iteration.
+      if (p->fd != fds[i].fd) continue;
       if (p->connecting) {
         if ((fds[i].revents & (POLLOUT | POLLERR | POLLHUP)) != 0) {
           finish_connect(*p);
@@ -914,7 +1013,10 @@ void Fabric::io_main() {
     }
     if (!dark && listen_fd_ >= 0) accept_ready(now);
   }
-  close_all_io();
+  {
+    std::lock_guard<std::mutex> tok(io_mu_);
+    close_all_io();
+  }
   if (ring != nullptr) {
     support::trace::set_thread_ring(nullptr);
     support::trace::Track t;

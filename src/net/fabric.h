@@ -1,19 +1,33 @@
 // hc-net Fabric: one process's view of the socket mesh (DESIGN.md §9).
 //
 // A Fabric owns one duplex Unix-domain stream connection per peer process
-// (socket files in a session directory) and a single poll()-driven IO
-// thread that does everything: connect/accept supervision with
-// capped-backoff reconnect, framing, per-connection sequencing + acks + RTO
-// retransmission, in-order release through a Reorderer, heartbeats and
-// silence-based peer-death detection, deferred (never sleeping)
-// fault-injected delays, and the flush→goodbye teardown handshake. Senders
-// interact only through bounded per-peer queues: try_send() reports
-// kWouldBlock instead of buffering without limit, and send() parks on a
-// condition variable until the queue drains or the peer dies.
+// (socket files in a session directory), bounded per-peer send queues, and
+// one poll()-driven IO thread. Senders interact only through the queues:
+// try_send() reports kWouldBlock instead of buffering without limit, and
+// send() parks on a condition variable until the queue drains or the peer
+// dies.
+//
+// Who reads and who writes. The connection state (sockets, framing,
+// sequencing, acks, the retransmit window, outbufs) is guarded by the IO
+// token, a per-fabric mutex; whoever holds it moves frames. A thread may
+// register as the fabric's *driver* (drive(true)) and then call progress()
+// once per loop iteration: progress() takes the token with a try-lock and,
+// on the calling thread, reads and delivers the frames that have arrived,
+// drains the send queues and flushes the outbufs. A driver's own try_send
+// queues without waking the IO thread, so the frames one iteration queues
+// leave in one send(2). While a driver keeps calling progress(), the IO
+// thread keeps connect/accept supervision with capped-backoff reconnect, RTO
+// retransmission, heartbeats and silence-based peer-death detection,
+// fault-delayed bytes, POLLOUT and the flush->goodbye teardown, but stops
+// polling the peer sockets for input. A driver hands reading back around
+// every blocking wait (HandBack: flush, deregister, wake the IO thread), and
+// the IO thread takes reading back on its own after one pass in which no
+// registered driver called progress() (the backstop). With no driver, the
+// IO thread does everything.
 //
 // The data path pays its fixed costs per burst, not per frame:
-//   * one wake per burst: a sender writes the wake pipe only when it flips
-//     wake_pending_, and the IO loop clears the flag once per pass;
+//   * one wake per burst: a non-driver sender writes the wake pipe only when
+//     it flips wake_pending_, and the IO loop clears the flag once per pass;
 //   * one cumulative ack per read batch (kFlagCumulative, the Reorderer
 //     horizon), plus a selective ack for each frame buffered above a gap;
 //   * one mu_ acquisition and one notify per batch drained from a sendq;
@@ -28,9 +42,9 @@
 // Fault injection (fault::decide) hooks the transmit point: a dropped frame
 // is cut off the outbuf again (the RTO resends it), a duplicate is written
 // twice, a delay moves the encoded bytes to a timer queue. Channel ids are
-// process ids and the per-channel decision sequence advances in transmit
-// order on the single IO thread, so a seeded chaos schedule is
-// byte-identical across runs — the same property the thread-mode wire has.
+// process ids and transmits are serialized under the IO token, so the
+// per-channel decision sequence advances in one transmit order whichever
+// thread holds the token.
 #pragma once
 
 #include <atomic>
@@ -81,8 +95,9 @@ class Fabric {
     kClosed,      // this fabric is shut down
   };
 
-  // Reliable (kSmpi) frames, in per-connection order, from the IO thread.
-  // Must not call back into this Fabric except via try_send.
+  // Reliable (kSmpi) frames, in per-connection order, from the thread that
+  // holds the IO token (the IO thread or a driver in progress()). Must not
+  // call back into this Fabric except via try_send, and must not block.
   using DeliverFn = std::function<void(Frame&&)>;
 
   Fabric(const FabricOptions& opts, DeliverFn deliver);
@@ -101,6 +116,31 @@ class Fabric {
   SendResult try_send(int dst, Frame& f);
   // try_send + park until queue space or peer death / shutdown.
   SendResult send(int dst, Frame& f);
+
+  // --- driving (see the header comment) ------------------------------------
+
+  // Registers (true) or deregisters (false) the calling thread as a driver
+  // of this fabric. A thread drives at most one fabric at a time.
+  // Deregistering flushes what the driver queued and wakes the IO thread.
+  void drive(bool on);
+  // A driver's step: if the IO token is free, read and deliver what has
+  // arrived, drain the send queues and flush, all on the calling thread.
+  void progress();
+
+  // Scope guard for a blocking wait: if the calling thread drives a fabric,
+  // it hands reading back to that fabric's IO thread for the scope (flush,
+  // deregister, wake) and registers again at its end. A no-op on any other
+  // thread, so every blocking smpi wait can construct one.
+  class HandBack {
+   public:
+    HandBack();
+    ~HandBack();
+    HandBack(const HandBack&) = delete;
+    HandBack& operator=(const HandBack&) = delete;
+
+   private:
+    Fabric* f_;
+  };
 
   bool peer_dead(int p) const;
   std::vector<int> dead_peers() const;
@@ -135,6 +175,9 @@ class Fabric {
 
     // Shared state (mu_).
     std::deque<Frame> sendq;
+    // Set with a push to sendq, cleared when a drain empties it: lets
+    // progress() skip the mu_ acquisition when nothing is queued.
+    std::atomic<bool> tx_ready{false};
     std::uint64_t tx_next = 0;
     std::size_t unacked_count = 0;
     bool dead = false;
@@ -143,7 +186,7 @@ class Fabric {
     bool goodbye_err = false;
     bool goodbye_flushed = false;  // our goodbye fully written to the wire
 
-    // IO-thread-only state.
+    // IO-token state: touched only by the holder of io_mu_.
     int fd = -1;
     bool connecting = false;   // nonblocking connect() in flight
     bool up = false;
@@ -193,7 +236,7 @@ class Fabric {
                     std::uint64_t seq, int lane,
                     std::chrono::steady_clock::time_point now);
   void flush_out(Peer& p);
-  void read_ready(Peer& p, std::chrono::steady_clock::time_point now);
+  std::size_t read_ready(Peer& p, std::chrono::steady_clock::time_point now);
   void handle_frame(Peer& p, Frame&& f,
                     std::chrono::steady_clock::time_point now);
   void on_ack(Peer& p, const Frame& f);
@@ -201,6 +244,8 @@ class Fabric {
   void accept_ready(std::chrono::steady_clock::time_point now);
   void poll_pending_accepts(std::chrono::steady_clock::time_point now);
   void check_dark();
+  void enlist();
+  void retire();
   void close_all_io();
 
   FabricOptions opts_;
@@ -208,12 +253,18 @@ class Fabric {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  // The IO token: guards the IO-token state of every Peer, the listener and
+  // the pending accepts. Lock order: io_mu_ before mu_.
+  std::mutex io_mu_;
+  int drivers_ = 0;  // (mu_) registered driver threads
+  // A driver called progress() since the IO thread's last pass.
+  std::atomic<bool> driver_seen_{false};
   std::vector<std::unique_ptr<Peer>> peers_;  // peers_[proc_] stays null
   bool stop_ = false;
   bool closed_ = false;         // no new sends accepted
   bool goodbye_phase_ = false;
   bool goodbye_error_ = false;  // flag to put on our goodbyes
-  bool paused_ = false;
+  std::atomic<bool> paused_{false};  // written under mu_
   bool drop_conns_ = false;
   bool dark_ = false;  // a hosted rank was fault-killed: play dead
   bool shutdown_done_ = false;

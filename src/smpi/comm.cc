@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "net/fabric.h"
 #include "smpi/world.h"
 
 namespace smpi {
@@ -21,6 +22,14 @@ int Comm::local_size() const {
 
 Endpoint& Comm::endpoint(int rank) const {
   return world_->endpoint(world_rank(rank));
+}
+
+void Comm::drive(bool on) {
+  if (net::Fabric* f = world_->net_fabric(world_rank(rank_))) f->drive(on);
+}
+
+void Comm::progress() {
+  if (net::Fabric* f = world_->net_fabric(world_rank(rank_))) f->progress();
 }
 
 Comm Comm::dup() {

@@ -49,6 +49,15 @@ class Comm {
 
   bool is_null() const { return rank_ < 0; }
 
+  // --- progress on the socket wire (no-ops on the thread wire) ---
+  // drive(true) makes the calling thread a driver of this rank's fabric
+  // (net::Fabric::drive): it then reads and sends that fabric's frames
+  // itself in progress(), which it must call once per loop iteration.
+  // Blocking waits hand reading back for their duration. drive(false)
+  // flushes and hands reading back to the fabric's IO thread for good.
+  void drive(bool on);
+  void progress();
+
   // MPI_Sendrecv: simultaneous send and receive (deadlock-free even in
   // rendezvous implementations; trivially so in this eager substrate).
   void sendrecv(const void* sendbuf, std::size_t sendbytes, int dest,

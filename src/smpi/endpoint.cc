@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "net/fabric.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -123,7 +124,11 @@ bool Endpoint::iprobe(int source, int tag, std::uint32_t context, Status* st) {
   return false;
 }
 
+// The blocking calls below hand socket reading back to the fabric's IO
+// thread before they sleep (net::Fabric::HandBack): a fabric driver that
+// blocks here reads nothing itself.
 void Endpoint::probe(int source, int tag, std::uint32_t context, Status* st) {
+  net::Fabric::HandBack hand_back;
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
     for (const Envelope& e : unexpected_) {
@@ -146,11 +151,13 @@ void Endpoint::probe(int source, int tag, std::uint32_t context, Status* st) {
 
 void Endpoint::wait_request(const Request& req) {
   if (req->done()) return;
+  net::Fabric::HandBack hand_back;
   std::unique_lock<std::mutex> lk(mu_);
   cv_.wait(lk, [&] { return req->done(); });
 }
 
 std::size_t Endpoint::wait_any(const std::vector<Request>& reqs) {
+  net::Fabric::HandBack hand_back;
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
     for (std::size_t i = 0; i < reqs.size(); ++i) {

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -625,9 +626,13 @@ class RawPeer {
   void send(const Frame& f) {
     net::Bytes b;
     net::append_frame(b, f);
+    send_bytes(b.data(), b.size());
+  }
+
+  void send_bytes(const std::uint8_t* p, std::size_t len) {
     std::size_t off = 0;
-    while (off < b.size()) {
-      ssize_t n = ::send(fd_, b.data() + off, b.size() - off, MSG_NOSIGNAL);
+    while (off < len) {
+      ssize_t n = ::send(fd_, p + off, len - off, MSG_NOSIGNAL);
       if (n <= 0) return;
       off += std::size_t(n);
     }
@@ -712,6 +717,148 @@ TEST(NetFabric, AcksSelectiveAboveGapCumulativeBehindIt) {
   EXPECT_EQ(got[0].seq, 0u);
   EXPECT_EQ(got[1].seq, 1u);
   m.fabrics[1]->kill();
+}
+
+std::uint64_t counter(const char* name) {
+  return support::MetricsRegistry::global().counter_value(name);
+}
+
+// Seeded control-frame fuzz. A hand-driven peer sends one sequenced stream
+// (kSmpi frames and frames of unknown kinds, seqs 0..n-1, with injected
+// duplicates and adjacent swaps) interleaved with hellos, heartbeats,
+// goodbyes and acks of seqs the fabric never assigned, cut into random
+// chunks. The fabric must release every kSmpi frame exactly once, in order,
+// and keep retransmitting its own frames, since no ack it got was valid.
+struct ControlFuzz {
+  net::Bytes wire;
+  std::vector<std::uint64_t> smpi_seqs;  // in release order
+};
+
+ControlFuzz control_fuzz(std::uint64_t seed, std::uint64_t tx_assigned) {
+  std::mt19937_64 rng(seed);
+  auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+  auto control = RawPeer::control;
+  ControlFuzz out;
+  const std::uint64_t n = 64 + pick(64);
+  std::vector<Frame> seqd;
+  for (std::uint64_t seq = 0; seq < n; ++seq) {
+    Frame f;
+    if (pick(4) == 0) {
+      f.kind = FrameKind(7 + pick(249));  // no consumer reads these kinds
+      f.payload.assign(std::size_t(pick(16)), std::uint8_t(seq));
+    } else {
+      f = data_frame(std::uint32_t(out.smpi_seqs.size()),
+                     std::size_t(pick(32)));
+      out.smpi_seqs.push_back(seq);
+    }
+    f.seq = seq;
+    f.src = 0;
+    f.dst = 1;
+    seqd.push_back(std::move(f));
+  }
+  std::vector<Frame> frames;
+  for (std::size_t i = 0; i < seqd.size(); ++i) {
+    if (i + 1 < seqd.size() && pick(8) == 0) {
+      std::swap(seqd[i], seqd[i + 1]);  // a frame arrives above a gap
+    }
+    frames.push_back(seqd[i]);
+    if (pick(8) == 0) frames.push_back(seqd[pick(i + 1)]);  // duplicate
+    for (std::uint64_t c = pick(3); c > 0; --c) {
+      switch (pick(5)) {
+        case 0:
+          frames.push_back(control(FrameKind::kHello, 0, pick(1000)));
+          break;
+        case 1:
+          frames.push_back(control(FrameKind::kHeartbeat, 0, 0));
+          break;
+        case 2:
+          frames.push_back(control(FrameKind::kGoodbye,
+                                   std::uint8_t(pick(2)) * net::kFlagError, 0));
+          break;
+        default:  // cumulative or selective, above every assigned seq
+          frames.push_back(control(
+              FrameKind::kAck,
+              std::uint8_t(pick(2)) * net::kFlagCumulative,
+              tx_assigned + 1 + pick(1u << 20)));
+          break;
+      }
+    }
+  }
+  for (const Frame& f : frames) net::append_frame(out.wire, f);
+  return out;
+}
+
+void run_control_fuzz(std::uint64_t seed, bool driven) {
+  CleanWire clean;
+  Mesh m(2, 1024, 5000, /*skip_proc=*/0);
+  net::Fabric& fab = *m.fabrics[1];
+  std::jthread driver;  // stopped and joined on every exit path
+  if (driven) {
+    driver = std::jthread([&fab](std::stop_token stop) {
+      fab.drive(true);
+      while (!stop.stop_requested()) {
+        fab.progress();
+        std::this_thread::yield();
+      }
+      fab.drive(false);
+    });
+  }
+  const std::uint64_t driver_read0 = counter("net.frames.driver_read");
+  RawPeer peer(m.session + "/j0.p1");
+  ASSERT_TRUE(peer.connected());
+  constexpr std::uint64_t kOwn = 3;  // frames the fabric sends the peer
+  for (std::uint64_t i = 0; i < kOwn; ++i) {
+    Frame f = data_frame(std::uint32_t(i));
+    ASSERT_EQ(fab.send(0, f), net::Fabric::SendResult::kOk);
+  }
+  Frame got;
+  for (std::uint64_t i = 0; i < kOwn; ++i) {
+    ASSERT_TRUE(peer.next(FrameKind::kSmpi, &got, 5000));
+  }
+  const ControlFuzz fz = control_fuzz(seed, kOwn);
+  std::mt19937_64 rng(seed ^ 0x5eed);
+  for (std::size_t off = 0; off < fz.wire.size();) {
+    const std::size_t len = std::min<std::size_t>(1 + rng() % 512,
+                                                  fz.wire.size() - off);
+    peer.send_bytes(fz.wire.data() + off, len);
+    off += len;
+  }
+  ASSERT_TRUE(m.wait_frames(1, fz.smpi_seqs.size()));
+  // Every frame the fabric sent is still unacked, so the RTO resends each.
+  std::vector<bool> resent(kOwn, false);
+  std::size_t missing = kOwn;
+  while (missing > 0 && peer.next(FrameKind::kSmpi, &got, 5000)) {
+    ASSERT_LT(got.seq, kOwn);
+    if (!resent[got.seq]) --missing;
+    resent[got.seq] = true;
+  }
+  EXPECT_EQ(missing, 0u) << "an ack above the assigned seqs was honoured";
+  std::vector<Frame> rx = m.frames(1);
+  ASSERT_EQ(rx.size(), fz.smpi_seqs.size());
+  for (std::size_t i = 0; i < rx.size(); ++i) {
+    EXPECT_EQ(rx[i].kind, FrameKind::kSmpi);
+    EXPECT_EQ(rx[i].seq, fz.smpi_seqs[i]);
+    EXPECT_EQ(tag_of(rx[i]), std::uint32_t(i));
+  }
+  if (driven) {
+    EXPECT_GT(counter("net.frames.driver_read"), driver_read0);
+  }
+  driver = {};
+  fab.kill();
+}
+
+TEST(NetFabric, ControlFrameFuzzIoThreadReads) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    run_control_fuzz(seed, /*driven=*/false);
+  }
+}
+
+TEST(NetFabric, ControlFrameFuzzDriverReads) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    run_control_fuzz(seed, /*driven=*/true);
+  }
 }
 
 // --- socket-backed World ----------------------------------------------------
@@ -831,6 +978,119 @@ TEST_F(SocketWorldTest, DddfRemoteAwaitMovesOneTransfer) {
   EXPECT_GT(
       support::MetricsRegistry::global().counter("net.frames.sent").value(),
       frames_before);
+}
+
+// --- the communication worker drives its rank's fabric ----------------------
+
+TEST_F(SocketWorldTest, CommWorkerReadsWhatItsRankReceives) {
+  // A driven hcmpi ping-pong: the comm workers read the frames themselves
+  // (net.frames.driver_read), the IO threads only supervise. Counted on rank
+  // 0 after a warm-up, so set-up traffic read by the IO threads (the
+  // Context's dup on the rank threads) stays out of the ratio.
+  constexpr int kWarmup = 50, kRounds = 2000;
+  std::uint64_t driver_read = 0, received = 0;
+  smpi::World::run(2, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 1});
+    ctx.run([&] {
+      const int me = ctx.rank(), peer = 1 - me;
+      std::uint64_t read0 = 0, recv0 = 0;
+      for (int i = 0; i < kWarmup + kRounds; ++i) {
+        if (me == 0 && i == kWarmup) {
+          read0 = counter("net.frames.driver_read");
+          recv0 = counter("net.frames.received");
+        }
+        int got = -1;
+        if (me == 0) {
+          ctx.send(&i, sizeof i, peer, 5);
+          ctx.recv(&got, sizeof got, peer, 6);
+        } else {
+          ctx.recv(&got, sizeof got, peer, 5);
+          ctx.send(&got, sizeof got, peer, 6);
+        }
+        ASSERT_EQ(got, i);
+      }
+      if (me == 0) {
+        driver_read = counter("net.frames.driver_read") - read0;
+        received = counter("net.frames.received") - recv0;
+      }
+    });
+  });
+  EXPECT_GE(received, std::uint64_t(2 * kRounds));
+  EXPECT_GE(driver_read * 10, received * 9)
+      << driver_read << " of " << received << " frames read by a driver";
+}
+
+TEST_F(SocketWorldTest, CommWorkerBlockingCollectiveHandsReadingBack) {
+  // ctx.allreduce runs comm_.allreduce on the comm worker, which blocks in
+  // smpi waits: it must hand reading back to the IO thread at once. If it
+  // left that to the backstop, every blocked round would count a takeover.
+  constexpr int kRounds = 40;
+  const std::uint64_t backstop0 = counter("net.io.backstop");
+  smpi::World::run(3, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 1});
+    ctx.run([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        long mine = ctx.rank() + 1 + round;
+        long sum = -1;
+        ctx.allreduce(&mine, &sum, 1, hcmpi::Datatype::kLong,
+                      hcmpi::Op::kSum);
+        ASSERT_EQ(sum, 6 + 3 * round);
+      }
+    });
+  });
+  EXPECT_LT(counter("net.io.backstop") - backstop0,
+            std::uint64_t(kRounds / 2));
+}
+
+TEST_F(SocketWorldTest, BackstopReadsForAStuckDriver) {
+  // Rank 1's comm worker sits in an exec closure that waits on a flag and
+  // makes no smpi call: it neither reads nor hands reading back. Rank 1's
+  // rank thread sets the flag only after its blocking smpi recv of rank 0's
+  // message completes, and rank 0 sends that message only once the closure
+  // runs. Only the IO thread's backstop can read it; the closure gives up
+  // after 5 s, so a broken backstop fails instead of hanging. The death
+  // timeout outlasts that guard: without a backstop nothing reads rank 0's
+  // heartbeats either, and a peer declared dead would strand the message.
+  setenv("HCMPI_NET_DEATH_TIMEOUT_MS", "20000", 1);
+  net::reload_proc_env();
+  net::set_mode(net::Mode::kSocket);  // the reload re-read the mode
+  const std::uint64_t backstop0 = counter("net.io.backstop");
+  std::atomic<bool> timed_out{false};
+  smpi::World::run(2, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 1});
+    constexpr int kGoTag = 8, kMsgTag = 9;
+    if (comm.rank() == 0) {
+      int go = 0;
+      comm.recv(&go, sizeof go, 1, kGoTag);
+      int msg = 42;
+      comm.send(&msg, sizeof msg, 1, kMsgTag);
+      return;
+    }
+    // Let the IO thread see the comm worker driving before it gets stuck.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::atomic<bool> entered{false}, release{false};
+    ctx.post_exec([&](smpi::Comm&) {
+      entered.store(true);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!release.load()) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+          timed_out.store(true);
+          return;
+        }
+        std::this_thread::yield();
+      }
+    });
+    ASSERT_TRUE(spin_until([&] { return entered.load(); }));
+    int go = 1;
+    comm.send(&go, sizeof go, 0, kGoTag);
+    int msg = -1;
+    comm.recv(&msg, sizeof msg, 0, kMsgTag);
+    release.store(true);
+    EXPECT_EQ(msg, 42);
+  });
+  EXPECT_FALSE(timed_out.load()) << "nothing read rank 1's message";
+  EXPECT_GT(counter("net.io.backstop"), backstop0);
 }
 
 TEST_F(SocketWorldTest, FinalizeBarrierNamesDeadRank) {
